@@ -10,6 +10,12 @@ at share (alpha - 1) / (2 * alpha); the only interior candidate is the
 stationary point on the concave side, which is compared against
 abstaining. The grid oracle is an exhaustive scan kept deliberately
 independent of both analytic paths.
+
+Prize boundary: the analytic oracles solve the unit-prize game at cost
+c / prize and multiply the utility they report by the prize, so their
+tolerances are relative to it. The helpers the rest of the package shares
+are prize-free: opposition power, best-response dispatch, and utility
+against a given opposition.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .roots import bisect_monotone
 
-#: both-maximizers reporting threshold on the utility gap
+#: both-maximizers reporting threshold on the utility gap, a share of prize
 TIE_TOL = 1e-12
 
 
@@ -41,12 +47,38 @@ class BestResponseResult:
     interior_candidate: Optional[float] = None
 
 
+def _opposition_power(q: np.ndarray, alpha: float, i: int) -> float:
+    """sum_{j != i} q_j**alpha, the power miner i competes against."""
+    mask = np.arange(q.size) != i
+    if alpha == 1.0:
+        return float(q[mask].sum())
+    return float((q[mask] ** alpha).sum())
+
+
+def _best_response(cost: float, alpha: float,
+                   opposition_power: float) -> BestResponseResult:
+    """Unit-prize best response; raises NoBestResponse at zero opposition."""
+    if alpha == 1.0:
+        return best_response_proportional(cost, opposition_power)
+    return best_response_eos(cost, alpha, opposition_power)
+
+
 def _utility_against(q: float, cost: float, alpha: float,
-                     opposition_power: float, prize: float) -> float:
+                     opposition_power: float) -> float:
+    """Unit-prize utility x(q) - cost * q against fixed opposition."""
     if q == 0.0:
         return 0.0
     x = q**alpha / (q**alpha + opposition_power)
-    return prize * x - cost * q
+    return x - cost * q
+
+
+def _check_inputs(cost: float, opposition: float, prize: float) -> None:
+    if cost <= 0 or prize <= 0:
+        raise ValueError("cost and prize must be positive")
+    if opposition < 0:
+        raise ValueError("opposition must be >= 0")
+    if opposition == 0.0:
+        raise NoBestResponse("zero opposition: no best response exists")
 
 
 def best_response_proportional(
@@ -58,20 +90,15 @@ def best_response_proportional(
     positive. The maximizer max(0, sqrt(prize*R/c) - R) hits 0 exactly when
     R >= prize / c.
     """
-    if cost <= 0 or prize <= 0:
-        raise ValueError("cost and prize must be positive")
-    if opposition < 0:
-        raise ValueError("opposition must be >= 0")
-    if opposition == 0.0:
-        raise NoBestResponse("zero opposition: no best response exists")
-    candidate = math.sqrt(prize * opposition / cost) - opposition
+    _check_inputs(cost, opposition, prize)
+    cost = cost / prize
+    candidate = math.sqrt(opposition / cost) - opposition
     if candidate <= 0.0:
         return BestResponseResult((0.0,), 0.0, None)
-    u = _utility_against(candidate, cost, 1.0, opposition, prize)
-    if u <= TIE_TOL:
-        # the interior optimum only touches 0 utility when it is itself 0
-        return BestResponseResult((0.0, candidate), max(u, 0.0), candidate)
-    return BestResponseResult((candidate,), u, candidate)
+    u = _utility_against(candidate, cost, 1.0, opposition)
+    # the interior optimum only touches 0 utility when it is itself 0
+    maximizers = (0.0, candidate) if u <= TIE_TOL else (candidate,)
+    return BestResponseResult(maximizers, prize * max(u, 0.0), candidate)
 
 
 def best_response_eos(
@@ -82,37 +109,35 @@ def best_response_eos(
     Finds the stationary point with share >= (alpha-1)/(2*alpha), where
     utility is strictly concave so marginal utility decreases and bisection
     applies; returns it, abstention, or both when their utilities tie
-    within 1e-12. No stationary point on that branch means abstain.
+    within 1e-12 of the prize. No stationary point on that branch means
+    abstain.
     """
     if alpha <= 1:
         raise ValueError("use best_response_proportional for alpha = 1")
-    if cost <= 0 or prize <= 0:
-        raise ValueError("cost and prize must be positive")
-    if opposition_power < 0:
-        raise ValueError("opposition power must be >= 0")
-    if opposition_power == 0.0:
-        raise NoBestResponse("zero opposition: no best response exists")
+    _check_inputs(cost, opposition_power, prize)
+    cost = cost / prize
     a = opposition_power
 
     def marg(q: float) -> float:
         x = q**alpha / (q**alpha + a)
-        return prize * alpha * x * (1.0 - x) / q - cost
+        return alpha * x * (1.0 - x) / q - cost
 
     r = (alpha - 1.0) / (2.0 * alpha)
     q_lo = (a * r / (1.0 - r)) ** (1.0 / alpha)  # share exactly r
     if marg(q_lo) <= 0.0:
         return BestResponseResult((0.0,), 0.0, None)
-    q_hi = max(prize / cost, 2.0 * q_lo)
-    while marg(q_hi) > 0.0:  # alpha > 2 can push the root past prize/cost
+    q_hi = max(1.0 / cost, 2.0 * q_lo)
+    while marg(q_hi) > 0.0:  # alpha > 2 can push the root past 1/cost
         q_hi *= 2.0
     res = bisect_monotone(marg, q_lo, q_hi, f_tol=1e-13,
                           x_tol=1e-15 * q_hi, max_iter=200)
     q_star = res.root
-    u_star = _utility_against(q_star, cost, alpha, a, prize)
+    u_star = _utility_against(q_star, cost, alpha, a)
     if u_star > TIE_TOL:
-        return BestResponseResult((q_star,), u_star, q_star)
+        return BestResponseResult((q_star,), prize * u_star, q_star)
     if u_star >= -TIE_TOL:
-        return BestResponseResult((0.0, q_star), max(u_star, 0.0), q_star)
+        return BestResponseResult((0.0, q_star), prize * max(u_star, 0.0),
+                                  q_star)
     return BestResponseResult((0.0,), 0.0, q_star)
 
 
@@ -164,6 +189,7 @@ def convexity_profile(
     if opposition_power <= 0:
         raise ValueError("opposition power must be positive")
     a = opposition_power
+    cost = cost / prize  # the unit-prize game has the same crossover
 
     def share(q: float) -> float:
         return q**alpha / (q**alpha + a)
@@ -172,9 +198,9 @@ def convexity_profile(
         h = 1e-4 * max(q, 1e-6)
         u = _utility_against
         return (
-            u(q + h, cost, alpha, a, prize)
-            - 2.0 * u(q, cost, alpha, a, prize)
-            + u(q - h, cost, alpha, a, prize)
+            u(q + h, cost, alpha, a)
+            - 2.0 * u(q, cost, alpha, a)
+            + u(q - h, cost, alpha, a)
         )
 
     # bracket the crossover between a clearly convex and a clearly concave q

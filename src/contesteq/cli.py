@@ -5,6 +5,10 @@ result documents are JSON; sweep and trajectory output is CSV. Exit codes:
 0 success, 2 parse error, 3 invalid spec, 4 no equilibrium found
 (alpha > 1), 5 verification failed. The environment variable
 CONTEST_EQ_TOL overrides the default certification tolerance of 1e-9.
+
+Prize boundary: the library entry points map a scenario to the unit-prize
+game themselves; best-response does it here, so all tolerances, the
+oracle's 1e-8 included, are shares of the prize.
 """
 
 from __future__ import annotations
@@ -19,14 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import best_response as br
 from . import eos, proportional
-from .best_response import (
-    NoBestResponse,
-    best_response_eos,
-    best_response_proportional,
-    grid_oracle,
-)
-from .core import ContestSpec, concentration, shares as market_shares
+from .core import ContestSpec, concentration, unit_prize, unit_utilities
 from .dynamics import DynamicsConfig, run_dynamics
 
 SCHEMA_VERSION = 1
@@ -165,13 +164,6 @@ def _concentration_block(spec: ContestSpec, investments) -> dict:
     }
 
 
-def _utilities(spec: ContestSpec, investments, shares) -> list[float]:
-    return [
-        spec.prize * x - c * q
-        for x, c, q in zip(shares, spec.costs, investments)
-    ]
-
-
 def _certificate_block(cert: eos.EquilibriumCertificate,
                        labels: list[str]) -> dict:
     return {
@@ -205,7 +197,8 @@ def cmd_solve(args) -> int:
             "participants": [labels[i] for i in eq.participants],
             "investments": list(eq.investments),
             "shares": list(eq.shares),
-            "utilities": _utilities(spec, eq.investments, eq.shares),
+            "utilities": (spec.prize * unit_utilities(
+                unit_prize(spec).costs, eq.investments, eq.shares)).tolist(),
             "total_investment": eq.total_investment,
             "concentration": _concentration_block(spec, eq.investments),
         }
@@ -234,7 +227,7 @@ def cmd_solve(args) -> int:
             "participants": [labels[i] for i in eq.participants],
             "investments": list(eq.investments),
             "shares": list(eq.shares),
-            "utilities": _utilities(spec, eq.investments, eq.shares),
+            "utilities": [v.utility for v in eq.certificate.verdicts],
             "power_scale": eq.power_scale,
             "marginal": [labels[i] for i in eq.certificate.marginal_miners],
             "certificate": {
@@ -279,7 +272,8 @@ def cmd_verify(args) -> int:
     _emit_document(doc, args.out)
     if args.out:
         print(f"verdict: {doc['verdict']} "
-              f"(worst slack {_fmt(cert.worst_slack)}, tol {_fmt(tol)})")
+              f"(worst slack {_fmt(cert.worst_slack)}, "
+              f"tol {_fmt(tol * spec.prize)})")
     return EXIT_OK if cert.certified else EXIT_NOT_CERTIFIED
 
 
@@ -394,13 +388,8 @@ def cmd_dynamics(args) -> int:
         writer = csv.writer(f)
         writer.writerow(["round", "miner_label", "investment", "share",
                          "utility"])
-        for rnd_index, profile in enumerate(trajectory.profiles[1:], start=1):
-            x = market_shares(spec, profile).shares
-            for i, q in enumerate(profile):
-                writer.writerow([
-                    rnd_index, labels[i], _fmt(q), _fmt(x[i]),
-                    _fmt(spec.prize * x[i] - spec.costs[i] * q),
-                ])
+        for rnd, miner, q, x, u in trajectory.rows():
+            writer.writerow([rnd, labels[miner], _fmt(q), _fmt(x), _fmt(u)])
         f.write(f"# status={trajectory.status} "
                 f"rounds_used={trajectory.rounds_used}\n")
     print(f"status: {trajectory.status} after {trajectory.rounds_used} rounds")
@@ -421,31 +410,27 @@ def cmd_best_response(args) -> int:
             ) from exc
         if not 0 <= miner < spec.n:
             raise ScenarioError(f"--miner index {miner} out of range")
-    mask = np.arange(spec.n) != miner
-    opposition = float((q[mask] ** spec.alpha).sum())
-    cost = spec.costs[miner]
+    opposition = br._opposition_power(q, spec.alpha, miner)
+    cost = unit_prize(spec).costs[miner]
     try:
-        if spec.alpha == 1.0:
-            result = best_response_proportional(cost, opposition, spec.prize)
-        else:
-            result = best_response_eos(cost, spec.alpha, opposition,
-                                       spec.prize)
-    except NoBestResponse as exc:
+        result = br._best_response(cost, spec.alpha, opposition)
+    except br.NoBestResponse as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC
+    best_utility = spec.prize * result.optimal_utility
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": echo,
         "miner": labels[miner],
         "opposition_power": opposition,
         "best_responses": list(result.optimal_investments),
-        "best_utility": result.optimal_utility,
+        "best_utility": best_utility,
         "interior_candidate": result.interior_candidate,
     }
     agreed = True
     if args.oracle:
-        check = grid_oracle(cost, spec.alpha, opposition, prize=spec.prize)
-        step = 1e-6 * spec.prize / cost
+        check = br.grid_oracle(cost, spec.alpha, opposition)
+        step = 1e-6 / cost
         distance = min(
             abs(check.optimal_investments[0] - m)
             for m in result.optimal_investments
@@ -455,7 +440,7 @@ def cmd_best_response(args) -> int:
                   <= 1e-8)
         doc["oracle"] = {
             "argmax": check.optimal_investments[0],
-            "utility": check.optimal_utility,
+            "utility": spec.prize * check.optimal_utility,
             "grid_step": step,
             "agrees": agreed,
         }
@@ -463,7 +448,7 @@ def cmd_best_response(args) -> int:
     if args.out:
         best = ", ".join(_fmt(m) for m in result.optimal_investments)
         print(f"best response for {labels[miner]}: {{{best}}} "
-              f"with utility {_fmt(result.optimal_utility)}")
+              f"with utility {_fmt(best_utility)}")
     if not agreed:
         print("grid oracle disagrees with the analytic best response",
               file=sys.stderr)

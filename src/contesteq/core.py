@@ -68,7 +68,6 @@ class InvestmentProfile:
 class MarketShares:
     shares: tuple[float, ...]
     total_investment: float
-    total_power: float
 
 
 @dataclass(frozen=True)
@@ -106,17 +105,27 @@ def shares(spec: ContestSpec, profile: ProfileLike) -> MarketShares:
     q = as_investments(spec, profile)
     top = float(q.max())
     if top == 0.0:
-        return MarketShares(shares=(0.0,) * spec.n, total_investment=0.0,
-                            total_power=0.0)
+        return MarketShares(shares=(0.0,) * spec.n, total_investment=0.0)
     t = (q / top) ** spec.alpha
-    denom = float(t.sum())
-    x = t / denom
-    total_power = float(top**spec.alpha * denom)
+    x = t / float(t.sum())
     return MarketShares(
         shares=tuple(x.tolist()),
         total_investment=float(q.sum()),
-        total_power=total_power,
     )
+
+
+def unit_prize(spec: ContestSpec) -> ContestSpec:
+    """The same game at prize 1 (costs c_i / prize): investments and shares
+    are unchanged and utilities divide by the prize. Returns spec itself
+    when its prize is 1."""
+    if spec.prize == 1.0:
+        return spec
+    return ContestSpec(tuple(c / spec.prize for c in spec.costs), spec.alpha)
+
+
+def unit_utilities(costs, q, x) -> np.ndarray:
+    """x_i - c_i * q_i: unit-prize utilities at costs c and shares x."""
+    return np.asarray(x) - np.asarray(costs) * np.asarray(q)
 
 
 def utility(spec: ContestSpec, profile: ProfileLike, i: int) -> float:

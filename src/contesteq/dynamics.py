@@ -13,6 +13,10 @@ the run; the terminal profile is then verified, and the trajectory is
 length-1 revisit and is reported "cycle_detected". Longer cycles are
 caught by hashing profiles quantized at 1e-9. Nothing here claims
 convergence in general; statuses report what happened.
+
+Prize boundary: run_dynamics maps its spec to the unit-prize game once and
+updates with the prize-free kernels of best_response, so its checks are
+relative to the prize; Trajectory.rows() reports utilities in caller units.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import best_response as br
-from .core import ContestSpec, as_investments
+from .core import (ContestSpec, as_investments, shares, unit_prize,
+                   unit_utilities)
 from .eos import EquilibriumCertificate, verify_equilibrium
 
 #: quantum for cycle-detection profile hashing
@@ -59,47 +64,23 @@ class Trajectory:
     profiles: tuple[tuple[float, ...], ...]
     status: str  # converged | max_rounds_exhausted | cycle_detected
     rounds_used: int
+    spec: ContestSpec
     certificate: Optional[EquilibriumCertificate] = field(default=None)
 
     @property
     def terminal(self) -> tuple[float, ...]:
         return self.profiles[-1]
 
-    def rows(self) -> Iterator[tuple[int, int, float]]:
-        """(round, miner, investment) rows for CSV export; round 1 is the
-        state after the first full update sweep."""
+    def rows(self) -> Iterator[tuple[int, int, float, float, float]]:
+        """(round, miner, investment, share, utility) rows for CSV export,
+        utilities in caller units; round 1 is the state after the first
+        full update sweep."""
+        unit = unit_prize(self.spec)
         for rnd, profile in enumerate(self.profiles[1:], start=1):
+            x = shares(unit, profile).shares
+            u = self.spec.prize * unit_utilities(unit.costs, profile, x)
             for miner, q in enumerate(profile):
-                yield rnd, miner, q
-
-
-def _best_response_for(spec: ContestSpec, q: np.ndarray, i: int):
-    mask = np.arange(q.size) != i
-    if spec.alpha == 1.0:
-        opposition = float(q[mask].sum())
-        if opposition == 0.0:
-            return None
-        return br.best_response_proportional(
-            spec.costs[i], opposition, spec.prize
-        )
-    opposition = float((q[mask] ** spec.alpha).sum())
-    if opposition == 0.0:
-        return None
-    return br.best_response_eos(spec.costs[i], spec.alpha, opposition,
-                                spec.prize)
-
-
-def _utility_at(spec: ContestSpec, q: np.ndarray, i: int, qi: float) -> float:
-    mask = np.arange(q.size) != i
-    if spec.alpha == 1.0:
-        opp = float(q[mask].sum())
-        power = qi
-    else:
-        opp = float((q[mask] ** spec.alpha).sum())
-        power = qi**spec.alpha
-    total = power + opp
-    x = power / total if total > 0 else 0.0
-    return spec.prize * x - spec.costs[i] * qi
+                yield rnd, miner, q, x[miner], float(u[miner])
 
 
 def _quantized(q: np.ndarray) -> tuple[int, ...]:
@@ -115,9 +96,13 @@ def run_dynamics(
 
     The initial profile must have at least one positive investment (from
     all zeros, no miner has a best response). Identical spec and config
-    reproduce the trajectory bit for bit.
+    reproduce the trajectory bit for bit. An undamped update that lowers
+    the updating miner's utility by more than 1e-12 of the prize raises
+    ArithmeticError: exact best responses never do.
     """
-    q = as_investments(spec, config.initial_profile)
+    unit = unit_prize(spec)
+    alpha = unit.alpha
+    q = as_investments(unit, config.initial_profile)
     if not np.any(q > 0):
         raise ValueError("initial profile must have a positive investment")
     q = q.copy()
@@ -129,21 +114,23 @@ def run_dynamics(
     for rnd in range(1, config.max_rounds + 1):
         rounds_used = rnd
         previous = q.copy()
-        for i in range(spec.n):
-            result = _best_response_for(spec, q, i)
-            if result is None:
-                continue  # zero opposition: no best response, keep incumbent
+        for i, cost in enumerate(unit.costs):
+            opposition = br._opposition_power(q, alpha, i)
+            if opposition == 0.0:
+                continue  # no best response exists: keep the incumbent
+            result = br._best_response(cost, alpha, opposition)
             target = min(
                 result.optimal_investments,
                 key=lambda m: (abs(m - q[i]), m),
             )
             new_qi = q[i] + config.damping * (target - q[i])
             if config.damping == 1.0:
-                gain = (_utility_at(spec, q, i, new_qi)
-                        - _utility_at(spec, q, i, float(q[i])))
-                assert gain >= -1e-12, (
-                    f"best response lowered miner {i}'s utility by {-gain}"
-                )
+                gain = (br._utility_against(new_qi, cost, alpha, opposition)
+                        - br._utility_against(float(q[i]), cost, alpha,
+                                              opposition))
+                if gain < -1e-12:
+                    raise ArithmeticError(f"best response lowered miner {i}'s"
+                                          f" utility by {-gain} of the prize")
             q[i] = new_qi
         snapshots.append(tuple(q.tolist()))
         change = float(np.abs(q - previous).max())
@@ -160,5 +147,6 @@ def run_dynamics(
         profiles=tuple(snapshots),
         status=status,
         rounds_used=rounds_used,
+        spec=spec,
         certificate=certificate,
     )

@@ -12,6 +12,12 @@ decreasing function of s, the share sum crosses 1 at most once, and an
 outer bisection on s plus an inner inversion of f nails the unique
 candidate for S. Candidates are then certified miner-by-miner against the
 exact best-response oracle; only certified profiles are equilibria.
+
+Prize boundary: verify_equilibrium and solve_for_set map their spec to the
+unit-prize game once, on entry, and work on it with prize-free kernels, so
+every tolerance is relative to the prize; reported utilities and slacks
+are multiplied by the prize on the way out. enumerate_equilibria computes
+nothing that depends on the prize and leaves the map to those two.
 """
 
 from __future__ import annotations
@@ -24,10 +30,11 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import best_response as br
-from .core import ContestSpec, ProfileLike, as_investments, shares
+from .core import (ContestSpec, ProfileLike, as_investments, shares,
+                   unit_prize, unit_utilities)
 from .roots import bisect_monotone
 
-#: default certification tolerance on per-miner utility slack
+#: default certification tolerance on per-miner utility slack (x prize)
 CERT_TOL = 1e-9
 #: |share sum - 1| tolerance for the outer bisection on the power scale
 SUM_TOL = 1e-13
@@ -137,61 +144,43 @@ def invert_share_weight(target: float, alpha: float) -> float:
     return res.root
 
 
-def _opposition_power(q: np.ndarray, alpha: float, i: int) -> float:
-    mask = np.arange(q.size) != i
-    if alpha == 1.0:
-        return float(q[mask].sum())
-    return float((q[mask] ** alpha).sum())
-
-
 def verify_equilibrium(
     spec: ContestSpec, profile: ProfileLike, tol: float = CERT_TOL
 ) -> EquilibriumCertificate:
     """Check every miner (participants and abstainers) against the exact
     best-response oracle.
 
-    A profile is certified iff each miner's utility is within tol of its
-    best attainable utility. Miners facing zero aggregate opposition have
-    no best response (the supremum is not attained), which always blocks
-    certification. A miner is flagged marginal when an interior stationary
-    response exists whose utility ties abstention within 1e-9: its
-    participation is a knife-edge and the equilibrium hinges on
-    tie-breaking.
+    A profile is certified iff each miner's utility is within tol * prize
+    of its best attainable utility. Miners facing zero aggregate
+    opposition have no best response (the supremum is not attained), which
+    always blocks certification. A miner is flagged marginal when an
+    interior stationary response exists whose utility ties abstention
+    within 1e-9 of the prize: its participation is a knife-edge and the
+    equilibrium hinges on tie-breaking.
     """
-    q = as_investments(spec, profile)
-    x = np.asarray(shares(spec, q).shares)
+    unit, v = unit_prize(spec), spec.prize
+    q = as_investments(unit, profile)
+    u = unit_utilities(unit.costs, q, shares(unit, q).shares).tolist()
     verdicts = []
-    for i in range(spec.n):
-        u_i = spec.prize * float(x[i]) - spec.costs[i] * float(q[i])
-        opposition = _opposition_power(q, spec.alpha, i)
+    for i, cost in enumerate(unit.costs):
+        opposition = br._opposition_power(q, unit.alpha, i)
         try:
-            if spec.alpha == 1.0:
-                result = br.best_response_proportional(
-                    spec.costs[i], opposition, spec.prize
-                )
-            else:
-                result = br.best_response_eos(
-                    spec.costs[i], spec.alpha, opposition, spec.prize
-                )
-        except br.NoBestResponse:
+            result = br._best_response(cost, unit.alpha, opposition)
+        except br.NoBestResponse as exc:
             verdicts.append(MinerVerdict(
-                miner=i, investment=float(q[i]), utility=u_i,
+                miner=i, investment=float(q[i]), utility=v * u[i],
                 best_utility=math.inf, slack=-math.inf,
-                best_responses=(), marginal=False,
-                note="zero opposition: no best response exists",
-            ))
+                best_responses=(), marginal=False, note=str(exc)))
             continue
-        slack = u_i - result.optimal_utility
-        marginal = (
-            result.interior_candidate is not None
-            and abs(result.optimal_utility) <= 1e-9
-        )
+        best = result.optimal_utility
         verdicts.append(MinerVerdict(
-            miner=i, investment=float(q[i]), utility=u_i,
-            best_utility=result.optimal_utility, slack=slack,
-            best_responses=result.optimal_investments, marginal=marginal,
+            miner=i, investment=float(q[i]), utility=v * u[i],
+            best_utility=v * best, slack=v * (u[i] - best),
+            best_responses=result.optimal_investments,
+            marginal=(result.interior_candidate is not None
+                      and abs(best) <= 1e-9),
         ))
-    certified = all(v.slack >= -tol for v in verdicts)
+    certified = all(verdict.slack >= -tol * v for verdict in verdicts)
     return EquilibriumCertificate(
         certified=certified, tolerance=tol, verdicts=tuple(verdicts)
     )
@@ -222,34 +211,29 @@ def solve_for_set(
     """Solve the stationarity system for one candidate participant set.
 
     Bisects the power scale s on its feasible range (0, s_max], where
-    s_max = prize * alpha * f(1 - 1/alpha) / max cost in the set, for the
-    unique s with share sum 1; reconstructs q_i = x_i**(1/alpha) * s.
-    Returns None when no such s exists or some member's utility is below
-    -1e-12 (the set cannot be a participant set of any equilibrium). The
-    returned candidate carries a full best-response certificate; callers
-    decide what to do with uncertified candidates.
+    s_max = alpha * f(1 - 1/alpha) / max cost in the set at unit prize,
+    for the unique s with share sum 1 (the share sum decreases in s, see
+    the module docstring); reconstructs q_i = x_i**(1/alpha) * s. Returns
+    None when no such s exists or some member's utility is below -1e-12
+    of the prize (the set cannot be a participant set of any equilibrium).
+    The returned candidate carries a full best-response certificate;
+    callers decide what to do with uncertified candidates.
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
-    s_idx = _validate_set(spec, participant_set)
-    alpha, v = spec.alpha, spec.prize
-    costs = np.asarray([spec.costs[i] for i in s_idx])
-    lo_share = 1.0 - 1.0 / alpha
-    f_max = share_weight(lo_share, alpha)
-    s_max = v * alpha * f_max / float(costs.max())
+    unit = unit_prize(spec)
+    s_idx = _validate_set(unit, participant_set)
+    alpha = unit.alpha
+    costs = np.asarray([unit.costs[i] for i in s_idx])
+    f_max = share_weight(1.0 - 1.0 / alpha, alpha)
+    s_max = alpha * f_max / float(costs.max())
 
     def share_sum(s: float) -> float:
         return sum(
-            invert_share_weight(float(c) * s / (v * alpha), alpha)
-            for c in costs
+            invert_share_weight(float(c) * s / alpha, alpha) for c in costs
         )
 
-    # the outer objective must decrease in s; spot-check before bisecting
-    probes = [share_sum(s_max * t) for t in (1e-3, 0.03, 0.2, 0.6, 1.0)]
-    assert all(a >= b - 1e-12 for a, b in zip(probes, probes[1:])), \
-        "share sum is not decreasing in the power scale"
-
-    end = probes[-1] - 1.0
+    end = share_sum(s_max) - 1.0
     iterations = 0
     if end > SUM_TOL:
         return None  # shares cannot sum down to 1 on the branch
@@ -262,23 +246,20 @@ def solve_for_set(
         )
         s_star, residual, iterations = res.root, abs(res.residual), res.iterations
     x_members = np.asarray([
-        invert_share_weight(float(c) * s_star / (v * alpha), alpha)
-        for c in costs
+        invert_share_weight(float(c) * s_star / alpha, alpha) for c in costs
     ])
     q_members = x_members ** (1.0 / alpha) * s_star
-    utilities = v * x_members - costs * q_members
-    if utilities.min() < -1e-12:
+    if unit_utilities(costs, q_members, x_members).min() < -1e-12:
         return None  # a member would rather abstain than play its FOC point
 
-    q = np.zeros(spec.n)
+    q = np.zeros(unit.n)
     q[list(s_idx)] = q_members
-    certificate = verify_equilibrium(spec, q, tol)
     return EosEquilibrium(
         participants=s_idx,
         investments=tuple(q.tolist()),
-        shares=shares(spec, q).shares,
+        shares=shares(unit, q).shares,
         power_scale=float(s_star),
-        certificate=certificate,
+        certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations,
         residual=float(residual),
     )

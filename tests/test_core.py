@@ -62,7 +62,6 @@ class TestShares:
         result = shares(spec, (0.0, 0.0, 0.0))
         assert result.shares == (0.0, 0.0, 0.0)
         assert result.total_investment == 0.0
-        assert result.total_power == 0.0
 
     def test_example_pair_at_alpha_two(self):
         spec = ContestSpec(costs=(1.0, 1.0, 1.0, 1.0), alpha=2.0)
@@ -89,6 +88,11 @@ class TestShares:
         spec = ContestSpec(costs=(1.0, 1.0), alpha=2.0)
         x = shares(spec, (1e-200, 1e-200)).shares
         assert x == (0.5, 0.5)
+
+    def test_extreme_spread_does_not_overflow(self):
+        # (1e200)**2 overflows a float; shares are computed on q / max(q)
+        spec = ContestSpec(costs=(1.0, 1.0), alpha=2.0)
+        assert shares(spec, (1e200, 1e-200)).shares == (1.0, 0.0)
 
     @given(
         q=st.lists(investment, min_size=2, max_size=8),
