@@ -30,6 +30,7 @@ from .roots import bisect_monotone
 
 #: both-maximizers reporting threshold on the utility gap, a share of prize
 TIE_TOL = 1e-12
+ZERO_OPPOSITION = "zero opposition: no best response exists"
 
 
 class NoBestResponse(ValueError):
@@ -47,12 +48,17 @@ class BestResponseResult:
     interior_candidate: Optional[float] = None
 
 
-def _opposition_power(q: np.ndarray, alpha: float, i: int) -> float:
-    """sum_{j != i} q_j**alpha, the power miner i competes against."""
-    mask = np.arange(q.size) != i
-    if alpha == 1.0:
-        return float(q[mask].sum())
-    return float((q[mask] ** alpha).sum())
+def _sums_after(power: np.ndarray) -> np.ndarray:
+    """sum_{j > i} power_j for every i: exclusive suffix sums."""
+    return np.concatenate((np.cumsum(power[:0:-1])[::-1], [0.0]))
+
+
+def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
+    """sum_{j != i} q_j**alpha for every miner i, the power each competes
+    against, in O(n) from exclusive prefix and suffix sums. Total minus
+    own would cancel when one miner holds nearly all the power."""
+    power = q if alpha == 1.0 else q**alpha
+    return _sums_after(power[::-1])[::-1] + _sums_after(power)
 
 
 def _best_response(cost: float, alpha: float,
@@ -61,6 +67,54 @@ def _best_response(cost: float, alpha: float,
     if alpha == 1.0:
         return best_response_proportional(cost, opposition_power)
     return best_response_eos(cost, alpha, opposition_power)
+
+
+def _best_responses(
+    costs: np.ndarray, alpha: float, oppositions: np.ndarray
+) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
+    """_best_response for every miner at once, at unit prize: the maximizer
+    sets, the best utilities, and the utility of each interior candidate
+    (nan where there is none). A miner facing zero opposition has no best
+    response: an empty set and best utility +inf.
+
+    Decides exactly as the scalar oracles do. At alpha = 1 the closed form
+    runs on whole arrays. At alpha > 1 the oracle's own abstention test
+    screens every miner, and only the survivors (participants, and the few
+    outsiders with a stationary point) go through best_response_eos.
+    """
+    alone = oppositions == 0.0
+    responses: list[tuple[float, ...]] = [(0.0,)] * costs.size
+    for i in np.flatnonzero(alone).tolist():
+        responses[i] = ()
+    best = np.where(alone, np.inf, 0.0)
+    interior = np.full(costs.size, np.nan)
+    live = np.flatnonzero(~alone)
+    c, a = costs[live], oppositions[live]
+    if alpha == 1.0:
+        candidate = np.sqrt(a / c) - a
+        u = candidate / (candidate + a) - c * candidate
+        for i, qi, ui in zip(live.tolist(), candidate.tolist(), u.tolist()):
+            if qi > 0.0:
+                responses[i] = (0.0, qi) if ui <= TIE_TOL else (qi,)
+        inside = candidate > 0.0
+        best[live] = np.where(inside, np.maximum(u, 0.0), 0.0)
+        interior[live] = np.where(inside, u, np.nan)
+        return responses, best, interior
+    r = (alpha - 1.0) / (2.0 * alpha)
+    q_lo = (a * r / (1.0 - r)) ** (1.0 / alpha)
+    x = q_lo**alpha / (q_lo**alpha + a)
+    marg = alpha * x * (1.0 - x) / q_lo - c
+    # the margin leaves any last-bit difference between numpy's and the
+    # scalar power to the scalar oracle, which has the final word
+    for k in np.flatnonzero(~(marg <= -1e-12 * c)).tolist():
+        i, cost, opposition = int(live[k]), float(c[k]), float(a[k])
+        result = best_response_eos(cost, alpha, opposition)
+        responses[i] = result.optimal_investments
+        best[i] = result.optimal_utility
+        if result.interior_candidate is not None:
+            interior[i] = _utility_against(result.interior_candidate, cost,
+                                           alpha, opposition)
+    return responses, best, interior
 
 
 def _utility_against(q: float, cost: float, alpha: float,
@@ -78,7 +132,7 @@ def _check_inputs(cost: float, opposition: float, prize: float) -> None:
     if opposition < 0:
         raise ValueError("opposition must be >= 0")
     if opposition == 0.0:
-        raise NoBestResponse("zero opposition: no best response exists")
+        raise NoBestResponse(ZERO_OPPOSITION)
 
 
 def best_response_proportional(

@@ -165,10 +165,10 @@ def _concentration_block(spec: ContestSpec, investments) -> dict:
 
 
 def _certificate_block(cert: eos.EquilibriumCertificate,
-                       labels: list[str]) -> dict:
+                       labels: list[str], prize: float) -> dict:
     return {
         "certified": cert.certified,
-        "tolerance": cert.tolerance,
+        "tolerance": cert.tolerance * prize,
         "worst_slack": cert.worst_slack,
         "miners": [
             {
@@ -232,7 +232,7 @@ def cmd_solve(args) -> int:
             "marginal": [labels[i] for i in eq.certificate.marginal_miners],
             "certificate": {
                 "certified": eq.certificate.certified,
-                "tolerance": eq.certificate.tolerance,
+                "tolerance": eq.certificate.tolerance * spec.prize,
                 "worst_slack": eq.certificate.worst_slack,
             },
             "concentration": _concentration_block(spec, eq.investments),
@@ -267,7 +267,7 @@ def cmd_verify(args) -> int:
         "scenario": echo,
         "profile": q.tolist(),
         "verdict": "certified" if cert.certified else "rejected",
-        "certificate": _certificate_block(cert, labels),
+        "certificate": _certificate_block(cert, labels, spec.prize),
     }
     _emit_document(doc, args.out)
     if args.out:
@@ -410,7 +410,7 @@ def cmd_best_response(args) -> int:
             ) from exc
         if not 0 <= miner < spec.n:
             raise ScenarioError(f"--miner index {miner} out of range")
-    opposition = br._opposition_power(q, spec.alpha, miner)
+    opposition = float(br._opposition_powers(q, spec.alpha)[miner])
     cost = unit_prize(spec).costs[miner]
     try:
         result = br._best_response(cost, spec.alpha, opposition)

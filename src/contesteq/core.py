@@ -117,10 +117,19 @@ def shares(spec: ContestSpec, profile: ProfileLike) -> MarketShares:
 def unit_prize(spec: ContestSpec) -> ContestSpec:
     """The same game at prize 1 (costs c_i / prize): investments and shares
     are unchanged and utilities divide by the prize. Returns spec itself
-    when its prize is 1."""
+    when its prize is 1. Raises ValueError when some c_i / prize overflows
+    or underflows to 0, since the unit-prize game then has no finite,
+    positive costs."""
     if spec.prize == 1.0:
         return spec
-    return ContestSpec(tuple(c / spec.prize for c in spec.costs), spec.alpha)
+    costs = tuple(c / spec.prize for c in spec.costs)
+    if not all(0.0 < c < math.inf for c in costs):
+        raise ValueError(
+            f"costs / prize leaves the float range of the unit-prize game "
+            f"(prize {spec.prize!r}, costs from {min(spec.costs)!r} to "
+            f"{max(spec.costs)!r})"
+        )
+    return ContestSpec(costs, spec.alpha)
 
 
 def unit_utilities(costs, q, x) -> np.ndarray:

@@ -114,9 +114,15 @@ def run_dynamics(
     for rnd in range(1, config.max_rounds + 1):
         rounds_used = rnd
         previous = q.copy()
+        # miner i faces the miners before it, already updated, plus the
+        # round's incumbents after it: a running prefix plus the suffix sums
+        # of the round's profile, O(1) per update with nothing cancelled
+        before = 0.0
+        after = br._sums_after(q if alpha == 1.0 else q**alpha).tolist()
         for i, cost in enumerate(unit.costs):
-            opposition = br._opposition_power(q, alpha, i)
+            opposition = before + after[i]
             if opposition == 0.0:
+                before += float(q[i]) ** alpha
                 continue  # no best response exists: keep the incumbent
             result = br._best_response(cost, alpha, opposition)
             target = min(
@@ -132,6 +138,7 @@ def run_dynamics(
                     raise ArithmeticError(f"best response lowered miner {i}'s"
                                           f" utility by {-gain} of the prize")
             q[i] = new_qi
+            before += float(new_qi) ** alpha
         snapshots.append(tuple(q.tolist()))
         change = float(np.abs(q - previous).max())
         if change <= config.convergence_tol:

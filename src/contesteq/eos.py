@@ -157,32 +157,30 @@ def verify_equilibrium(
     interior stationary response exists whose utility ties abstention
     within 1e-9 of the prize: its participation is a knife-edge and the
     equilibrium hinges on tie-breaking.
+
+    O(n): every opposition comes from one prefix/suffix-sum pass, and the
+    best responses from one vectorised pass (see best_response).
     """
     unit, v = unit_prize(spec), spec.prize
     q = as_investments(unit, profile)
-    u = unit_utilities(unit.costs, q, shares(unit, q).shares).tolist()
-    verdicts = []
-    for i, cost in enumerate(unit.costs):
-        opposition = br._opposition_power(q, unit.alpha, i)
-        try:
-            result = br._best_response(cost, unit.alpha, opposition)
-        except br.NoBestResponse as exc:
-            verdicts.append(MinerVerdict(
-                miner=i, investment=float(q[i]), utility=v * u[i],
-                best_utility=math.inf, slack=-math.inf,
-                best_responses=(), marginal=False, note=str(exc)))
-            continue
-        best = result.optimal_utility
-        verdicts.append(MinerVerdict(
-            miner=i, investment=float(q[i]), utility=v * u[i],
-            best_utility=v * best, slack=v * (u[i] - best),
-            best_responses=result.optimal_investments,
-            marginal=(result.interior_candidate is not None
-                      and abs(best) <= 1e-9),
-        ))
-    certified = all(verdict.slack >= -tol * v for verdict in verdicts)
+    costs = np.asarray(unit.costs)
+    u = unit_utilities(costs, q, shares(unit, q).shares)
+    oppositions = br._opposition_powers(q, unit.alpha)
+    responses, best, interior = br._best_responses(costs, unit.alpha,
+                                                   oppositions)
+    slack = v * (u - best)
+    rows = zip(q.tolist(), (v * u).tolist(), (v * best).tolist(),
+               slack.tolist(), responses, (np.abs(interior) <= 1e-9).tolist(),
+               (oppositions == 0.0).tolist())
+    verdicts = tuple(
+        MinerVerdict(miner=i, investment=qi, utility=ui, best_utility=bi,
+                     slack=si, best_responses=resp, marginal=marginal,
+                     note=br.ZERO_OPPOSITION if alone else "")
+        for i, (qi, ui, bi, si, resp, marginal, alone) in enumerate(rows)
+    )
     return EquilibriumCertificate(
-        certified=certified, tolerance=tol, verdicts=tuple(verdicts)
+        certified=bool(np.all(slack >= -tol * v)), tolerance=tol,
+        verdicts=verdicts,
     )
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContestSpec, ProfileLike, as_investments, shares
+from .core import (ContestSpec, ProfileLike, as_investments, shares,
+                   unit_prize)
 from .roots import bisect_monotone
 
 
@@ -117,7 +118,7 @@ def solve_equilibrium(spec: ContestSpec) -> ProportionalEquilibrium:
         raise ValueError(
             "proportional solver requires alpha = 1; use the eos module"
         )
-    effective = np.asarray(spec.costs) / spec.prize
+    effective = np.asarray(unit_prize(spec).costs)
     c_star, method, iters = _solve_threshold_detailed(effective)
     x = np.maximum(1.0 - effective / c_star, 0.0)
     q = x / c_star

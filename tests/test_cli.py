@@ -159,6 +159,25 @@ class TestVerify:
         first = doc["certificate"]["miners"][0]
         assert first["label"] == "m1" and first["marginal"]
 
+    def test_tolerance_in_caller_units_at_prize_1e8(self, tmp_path):
+        k = 1e8
+        scenario = write_json(tmp_path / "s.json", {
+            "alpha": 2.0, "prize": k,
+            "costs": [k * c for c in DETERRENCE["costs"]]})
+        solved = tmp_path / "solved.json"
+        assert cli.main(["solve", "--scenario", scenario,
+                         "--out", str(solved)]) == cli.EXIT_OK
+        block = json.loads(solved.read_text())["equilibria"][0]
+        assert block["certificate"]["tolerance"] == 1e-9 * k
+        cert = tmp_path / "cert.json"
+        assert cli.main(["verify", "--scenario", scenario,
+                         "--profile", str(solved),
+                         "--out", str(cert)]) == cli.EXIT_OK
+        doc = json.loads(cert.read_text())["certificate"]
+        assert doc["certified"]
+        assert doc["tolerance"] == 1e-9 * k
+        assert doc["worst_slack"] >= -doc["tolerance"]
+
     def test_dimension_mismatch(self, scenario_harmonic, tmp_path):
         profile = write_json(tmp_path / "p.json", [0.1, 0.2])
         assert cli.main(

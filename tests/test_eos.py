@@ -5,6 +5,7 @@ import pytest
 
 from contesteq import (
     ContestSpec,
+    best_response_eos,
     enumerate_equilibria,
     grid_oracle,
     invert_share_weight,
@@ -16,6 +17,7 @@ from contesteq import (
     solve_for_set,
     verify_equilibrium,
 )
+from contesteq.best_response import _utility_against
 
 
 def deterrence_spec(m: int) -> ContestSpec:
@@ -256,6 +258,21 @@ class TestVerify:
         assert cert.certified
         assert 0 in cert.marginal_miners
         assert cert.verdicts[0].slack == pytest.approx(0.0, abs=1e-12)
+
+    def test_abstainer_with_a_losing_stationary_point_is_not_marginal(self):
+        # miner 2's interior stationary point loses 1.9e-3 of the prize: it
+        # abstains by a clear margin, so it is no knife-edge
+        spec = ContestSpec((1.0, 1.05, 1.5), alpha=1.1)
+        eq = solve_for_set(spec, (0, 1))
+        assert eq.certificate.certified
+        assert eq.certificate.marginal_miners == ()
+        assert eq.certificate.verdicts[2].best_responses == (0.0,)
+        opposition = float((np.asarray(eq.investments) ** 1.1).sum())
+        result = best_response_eos(1.5, 1.1, opposition)
+        assert result.interior_candidate is not None
+        interior = _utility_against(result.interior_candidate, 1.5, 1.1,
+                                    opposition)
+        assert interior == pytest.approx(-1.94e-3, rel=1e-2)
 
     def test_cross_module_proportional_equilibrium(self):
         spec = ContestSpec(costs=(0.5, 0.7, 0.9, 1.1))

@@ -7,6 +7,7 @@ tolerances used to get wrong.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ class TestRegressions:
             q = solve_equilibrium(spec).investments
             cert = verify_equilibrium(spec, q)
             assert cert.certified, (costs, k, cert.worst_slack)
+
+    @pytest.mark.parametrize("solve, alpha", [
+        (enumerate_equilibria, 1.5), (solve_equilibrium, 1.0)])
+    def test_cost_over_prize_overflow_names_the_unit_game(self, solve, alpha):
+        spec = ContestSpec((1e300, 2e300, 3e300), alpha=alpha, prize=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(ValueError, match="costs / prize leaves the "
+                               "float range of the unit-prize game"):
+                solve(spec)
 
 
 scale = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
