@@ -92,7 +92,9 @@ def _best_responses(
     c, a = costs[live], oppositions[live]
     if alpha == 1.0:
         candidate = np.sqrt(a / c) - a
-        u = candidate / (candidate + a) - c * candidate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # u is kept only where candidate > 0, so candidate + a > 0
+            u = candidate / (candidate + a) - c * candidate
         for i, qi, ui in zip(live.tolist(), candidate.tolist(), u.tolist()):
             if qi > 0.0:
                 responses[i] = (0.0, qi) if ui <= TIE_TOL else (qi,)

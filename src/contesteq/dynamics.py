@@ -83,8 +83,11 @@ class Trajectory:
                 yield rnd, miner, q, x[miner], float(u[miner])
 
 
-def _quantized(q: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(round(v / CYCLE_QUANTUM)) for v in q)
+def _quantized(q: np.ndarray) -> bytes:
+    """q in units of CYCLE_QUANTUM, rounded half to even like round();
+    beyond the float range it keys as inf, and -0.0 keys like 0.0."""
+    with np.errstate(over="ignore"):
+        return (np.rint(q / CYCLE_QUANTUM) + 0.0).tobytes()
 
 
 def run_dynamics(

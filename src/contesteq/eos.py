@@ -23,7 +23,7 @@ nothing that depends on the prize and leaves the map to those two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
@@ -40,10 +40,11 @@ CERT_TOL = 1e-9
 SUM_TOL = 1e-13
 #: |f(x) - target| tolerance for the share-weight inversion
 INVERT_TOL = 1e-13
+#: most miners enumerate_equilibria accepts
+MAX_MINERS = 30
 
 
-@dataclass(frozen=True)
-class MinerVerdict:
+class MinerVerdict(NamedTuple):
     """One miner's best-response check against the rest of a profile."""
 
     miner: int
@@ -119,26 +120,25 @@ def invert_share_weight(target: float, alpha: float) -> float:
     Bisection on the decreasing branch. A target above the branch maximum
     f(1 - 1/alpha) is infeasible: no share on the participation branch can
     carry that weight, so the caller's miner cannot participate at the
-    probed scale.
+    probed scale. A target at or below f(1 - 1e-16) gives 1 - 1e-16, the
+    largest float below 1.
     """
     if alpha <= 1:
         raise ValueError("share weight is defined for alpha > 1")
     if target <= 0.0:
         raise ValueError("target must be positive")
-    lo = 1.0 - 1.0 / alpha
-    f_max = share_weight(lo, alpha) if lo > 0.0 else 1.0  # f(0+) -> 1
+    lo, hi = 1.0 - 1.0 / alpha, 1.0 - 1e-16
+    f_max = share_weight(lo, alpha)
     if target >= f_max:
         if target <= f_max * (1.0 + 1e-9):
             return lo  # branch endpoint, up to rounding of the target
         raise ValueError(
             f"target {target} above branch maximum {f_max}: infeasible"
         )
-    if lo <= 0.0:
-        # alpha -> 1+ degeneracy guard; lo = 1 - 1/alpha > 0 for alpha > 1
-        lo = np.finfo(float).tiny
+    if target <= share_weight(hi, alpha):
+        return hi  # the share is 1 to float precision
     res = bisect_monotone(
-        lambda x: share_weight(x, alpha),
-        lo, 1.0 - 1e-16,
+        lambda x: share_weight(x, alpha), lo, hi,
         target=target, f_tol=INVERT_TOL, max_iter=200,
     )
     return res.root
@@ -169,15 +169,11 @@ def verify_equilibrium(
     responses, best, interior = br._best_responses(costs, unit.alpha,
                                                    oppositions)
     slack = v * (u - best)
-    rows = zip(q.tolist(), (v * u).tolist(), (v * best).tolist(),
-               slack.tolist(), responses, (np.abs(interior) <= 1e-9).tolist(),
-               (oppositions == 0.0).tolist())
-    verdicts = tuple(
-        MinerVerdict(miner=i, investment=qi, utility=ui, best_utility=bi,
-                     slack=si, best_responses=resp, marginal=marginal,
-                     note=br.ZERO_OPPOSITION if alone else "")
-        for i, (qi, ui, bi, si, resp, marginal, alone) in enumerate(rows)
-    )
+    notes = np.where(oppositions == 0.0, br.ZERO_OPPOSITION, "").tolist()
+    verdicts = tuple(map(MinerVerdict._make, zip(
+        range(q.size), q.tolist(), (v * u).tolist(), (v * best).tolist(),
+        slack.tolist(), responses, (np.abs(interior) <= 1e-9).tolist(),
+        notes)))
     return EquilibriumCertificate(
         certified=bool(np.all(slack >= -tol * v)), tolerance=tol,
         verdicts=verdicts,
@@ -212,8 +208,10 @@ def solve_for_set(
     s_max = alpha * f(1 - 1/alpha) / max cost in the set at unit prize,
     for the unique s with share sum 1 (the share sum decreases in s, see
     the module docstring); reconstructs q_i = x_i**(1/alpha) * s. Returns
-    None when no such s exists or some member's utility is below -1e-12
-    of the prize (the set cannot be a participant set of any equilibrium).
+    None when no such s exists (the set cannot be a participant set of any
+    equilibrium). Every member's share lies on [1 - 1/alpha, 1), where its
+    utility x(1 - alpha(1 - x)) at the first-order point is >= 0, so no
+    member would rather abstain.
     The returned candidate carries a full best-response certificate;
     callers decide what to do with uncertified candidates.
     """
@@ -222,16 +220,14 @@ def solve_for_set(
     unit = unit_prize(spec)
     s_idx = _validate_set(unit, participant_set)
     alpha = unit.alpha
-    costs = np.asarray([unit.costs[i] for i in s_idx])
+    costs = [unit.costs[i] for i in s_idx]
     f_max = share_weight(1.0 - 1.0 / alpha, alpha)
-    s_max = alpha * f_max / float(costs.max())
+    s_max = alpha * f_max / max(costs)
 
-    def share_sum(s: float) -> float:
-        return sum(
-            invert_share_weight(float(c) * s / alpha, alpha) for c in costs
-        )
+    def member_shares(s: float) -> list[float]:
+        return [invert_share_weight(c * s / alpha, alpha) for c in costs]
 
-    end = share_sum(s_max) - 1.0
+    end = sum(member_shares(s_max)) - 1.0
     iterations = 0
     if end > SUM_TOL:
         return None  # shares cannot sum down to 1 on the branch
@@ -239,19 +235,13 @@ def solve_for_set(
         s_star, residual = s_max, abs(end)
     else:
         res = bisect_monotone(
-            share_sum, s_max * 1e-12, s_max,
+            lambda s: sum(member_shares(s)), s_max * 1e-12, s_max,
             target=1.0, f_tol=SUM_TOL, max_iter=200,
         )
         s_star, residual, iterations = res.root, abs(res.residual), res.iterations
-    x_members = np.asarray([
-        invert_share_weight(float(c) * s_star / alpha, alpha) for c in costs
-    ])
-    q_members = x_members ** (1.0 / alpha) * s_star
-    if unit_utilities(costs, q_members, x_members).min() < -1e-12:
-        return None  # a member would rather abstain than play its FOC point
-
+    x_members = np.asarray(member_shares(s_star))
     q = np.zeros(unit.n)
-    q[list(s_idx)] = q_members
+    q[list(s_idx)] = x_members ** (1.0 / alpha) * s_star
     return EosEquilibrium(
         participants=s_idx,
         investments=tuple(q.tolist()),
@@ -273,38 +263,45 @@ def _ratio_prune(costs: np.ndarray, alpha: float) -> bool:
     )
 
 
-def _relabel(spec: ContestSpec, rep: EosEquilibrium,
-             s_idx: tuple[int, ...]) -> np.ndarray:
-    """Map a representative solution onto another index set with the same
-    cost multiset (equal costs are interchangeable)."""
-    q = np.zeros(spec.n)
-    rep_sorted = sorted(rep.participants, key=lambda i: (spec.costs[i], i))
-    new_sorted = sorted(s_idx, key=lambda i: (spec.costs[i], i))
-    for old, new in zip(rep_sorted, new_sorted):
-        q[new] = rep.investments[old]
-    return q
+def _relabelled(spec: ContestSpec, rep: EosEquilibrium,
+                subset: tuple[int, ...]) -> EosEquilibrium:
+    """rep moved onto subset, a set with the same cost multiset. Swapping
+    equal-cost miners is a symmetry of the game, so the copy's
+    investments, shares and verdicts are rep's, permuted (members onto
+    members and outsiders onto outsiders of equal cost), and its
+    certificate holds without a fresh check."""
+    def order(members):
+        return sorted(range(spec.n),
+                      key=lambda i: (spec.costs[i], i not in members, i))
+
+    source = dict(zip(order(subset), order(rep.participants)))
+
+    def moved(values):
+        return tuple(values[source[i]] for i in range(spec.n))
+
+    verdicts = tuple(v._replace(miner=i)
+                     for i, v in enumerate(moved(rep.certificate.verdicts)))
+    return replace(rep, participants=subset, shares=moved(rep.shares),
+                   investments=moved(rep.investments),
+                   certificate=replace(rep.certificate, verdicts=verdicts))
 
 
-def enumerate_equilibria(
-    spec: ContestSpec,
-    tol: float = CERT_TOL,
-    max_miners: int = 30,
-) -> list[EosEquilibrium]:
+def enumerate_equilibria(spec: ContestSpec,
+                         tol: float = CERT_TOL) -> list[EosEquilibrium]:
     """All certified equilibria with participant sets up to the cap.
 
     Iterates subsets in size order, lexicographic within a size. Since the
     whole game is invariant under relabelling equal-cost miners, only one
-    representative per cost multiset is solved; certified representatives
-    are expanded to every index subset with that multiset and each copy is
-    re-verified. alpha > 2 yields an empty list (the cap drops below 2);
-    absence is reported, not proven.
+    representative per cost multiset is solved and certified; certified
+    representatives are relabelled onto every index subset with that
+    multiset, which certifies each copy by symmetry. alpha > 2 yields an
+    empty list (the cap drops below 2); absence is reported, not proven.
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
-    if spec.n > max_miners:
+    if spec.n > MAX_MINERS:
         raise ValueError(
-            f"n={spec.n} exceeds the enumeration cap {max_miners}"
-        )
+            f"n={spec.n} exceeds the enumeration cap {MAX_MINERS}")
     cap = participation_cap(spec.alpha)
     out: list[EosEquilibrium] = []
     solved: dict[tuple[float, ...], Optional[EosEquilibrium]] = {}
@@ -317,24 +314,10 @@ def enumerate_equilibria(
             if key not in solved:
                 solved[key] = solve_for_set(spec, subset, tol)
             rep = solved[key]
-            if rep is None:
+            if rep is None or not rep.certificate.certified:
                 continue
-            if rep.participants == subset:
-                if rep.certificate.certified:
-                    out.append(rep)
-                continue
-            q = _relabel(spec, rep, subset)
-            certificate = verify_equilibrium(spec, q, tol)
-            if certificate.certified:
-                out.append(EosEquilibrium(
-                    participants=subset,
-                    investments=tuple(q.tolist()),
-                    shares=shares(spec, q).shares,
-                    power_scale=rep.power_scale,
-                    certificate=certificate,
-                    iterations=rep.iterations,
-                    residual=rep.residual,
-                ))
+            out.append(rep if rep.participants == subset
+                       else _relabelled(spec, rep, subset))
     return out
 
 

@@ -13,8 +13,8 @@ c_i / V (utilities scale by V, shares are unchanged, investments scale by
 V); c_star and total_investment are reported in rescaled units so that
 total_investment == 1 / c_star always holds.
 
-The participant-count prefix scan is the primary solver; bisection on X is
-the shipped cross-check oracle.
+The participant-count prefix scan is the solver and always returns;
+bisection on X is the shipped cross-check oracle and is never called here.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class ProportionalEquilibrium:
     shares: tuple[float, ...]
     participants: tuple[int, ...]
     total_investment: float
-    method: str
-    iterations: int
+    method: str  # always "prefix-scan": the scan needs no fallback
+    iterations: int  # always 0: the scan does not iterate
     residual: float
 
 
@@ -78,38 +78,23 @@ def solve_threshold_bisection(costs) -> tuple[float, int]:
     return res.root, res.iterations
 
 
-def _prefix_scan(sorted_costs: np.ndarray) -> float | None:
-    """Closed-form c*: for the k cheapest participating, X(c) = 1 gives
-    c = (sum of their costs) / (k - 1), valid iff c_k < c <= c_{k+1}.
-    Tied costs never split a valid prefix, so ties need no special casing.
-    Returns None if rounding leaves no candidate valid.
-    """
-    prefix = np.cumsum(sorted_costs)
-    n = sorted_costs.size
-    for k in range(2, n + 1):
-        candidate = prefix[k - 1] / (k - 1)
-        upper = sorted_costs[k] if k < n else np.inf
-        if sorted_costs[k - 1] < candidate <= upper:
-            return float(candidate)
-    return None
-
-
 def solve_threshold(costs) -> float:
-    """Unique c* with X(c*) = 1; always exceeds the second-lowest cost."""
-    c_star, _, _ = _solve_threshold_detailed(np.asarray(costs, dtype=float))
-    return c_star
+    """Unique c* with X(c*) = 1; always exceeds the second-lowest cost.
 
-
-def _solve_threshold_detailed(cost: np.ndarray) -> tuple[float, str, int]:
+    Prefix scan on the sorted costs: with the k cheapest participating,
+    X(c) = 1 gives candidate_k = (c_1 + ... + c_k) / (k - 1), and
+    candidate_k <= c_{k+1} exactly when X(c_{k+1}) >= 1. The first such k
+    (c_{n+1} = inf, so k = n at worst) is the participant count, so the
+    scan always returns and tied costs need no special casing.
+    """
+    cost = np.sort(np.asarray(costs, dtype=float))
     if cost.size < 2:
         raise ValueError("need at least 2 miners")
     if not np.all(np.isfinite(cost)) or np.any(cost <= 0):
         raise ValueError("all costs must be finite and > 0")
-    c_star = _prefix_scan(np.sort(cost))
-    if c_star is not None:
-        return c_star, "prefix-scan", 0
-    c_star, iters = solve_threshold_bisection(cost)  # numerically ambiguous tie
-    return c_star, "bisection", iters
+    candidates = np.cumsum(cost)[1:] / np.arange(1, cost.size)
+    k = int(np.argmax(candidates <= np.append(cost[2:], np.inf)))
+    return float(candidates[k])
 
 
 def solve_equilibrium(spec: ContestSpec) -> ProportionalEquilibrium:
@@ -119,7 +104,7 @@ def solve_equilibrium(spec: ContestSpec) -> ProportionalEquilibrium:
             "proportional solver requires alpha = 1; use the eos module"
         )
     effective = np.asarray(unit_prize(spec).costs)
-    c_star, method, iters = _solve_threshold_detailed(effective)
+    c_star = solve_threshold(effective)
     x = np.maximum(1.0 - effective / c_star, 0.0)
     q = x / c_star
     participants = tuple(int(i) for i in np.flatnonzero(x > 0.0))
@@ -129,8 +114,8 @@ def solve_equilibrium(spec: ContestSpec) -> ProportionalEquilibrium:
         shares=tuple(x.tolist()),
         participants=participants,
         total_investment=1.0 / c_star,
-        method=method,
-        iterations=iters,
+        method="prefix-scan",
+        iterations=0,
         residual=abs(threshold_function(effective, c_star) - 1.0),
     )
 

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from contesteq import (
     ContestSpec,
@@ -9,6 +12,7 @@ from contesteq import (
     utility,
     verify_equilibrium,
 )
+from contesteq.dynamics import CYCLE_QUANTUM, _quantized
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 
@@ -72,6 +76,38 @@ class TestProportionalDynamics:
         )
         assert t.status == "max_rounds_exhausted"
         assert t.rounds_used == 2
+
+
+    def test_huge_finite_profile_neither_overflows_nor_warns(self):
+        # 1e300 in units of the cycle quantum overflows to inf; the cycle
+        # key once raised OverflowError on it, after a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = run_dynamics(ContestSpec((1.0, 1.0)),
+                             DynamicsConfig((1e300, 1e300)))
+        assert t.status == "cycle_detected"
+        assert t.terminal == (0.0, 1e300)
+
+
+class TestCycleKey:
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+           st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1e-3]),
+                    min_size=6, max_size=6),
+           st.sampled_from([-0.0, 1.0]))
+    def test_same_equality_as_rounding_each_investment(self, ticks, offsets,
+                                                       sign_of_zero):
+        # two profiles share a key iff round(q / quantum) agrees miner by
+        # miner, halves rounding to even, and -0.0 keys like 0.0
+        a = np.asarray([(k + f) * CYCLE_QUANTUM
+                        for k, f in zip(ticks, offsets)])
+        b = np.asarray([k * CYCLE_QUANTUM for k in ticks])
+        a[a == 0.0] *= sign_of_zero
+
+        def reference(q):
+            return tuple(int(round(v / CYCLE_QUANTUM)) for v in q)
+
+        assert (_quantized(a) == _quantized(b)) == (
+            reference(a) == reference(b))
 
 
 class TestEosDynamics:

@@ -1,10 +1,14 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contesteq import (
     ContestSpec,
+    EosEquilibrium,
     best_response_eos,
     enumerate_equilibria,
     grid_oracle,
@@ -13,11 +17,16 @@ from contesteq import (
     pairwise_bound_check,
     participation_cap,
     share_weight,
+    shares,
     solve_equilibrium,
     solve_for_set,
     verify_equilibrium,
 )
+from contesteq import eos
 from contesteq.best_response import _utility_against
+
+#: the smallest alpha above 1
+ALPHA_ULP = 1.0000000000000002
 
 
 def deterrence_spec(m: int) -> ContestSpec:
@@ -72,6 +81,12 @@ class TestInvertShareWeight:
         f_max = share_weight(0.5, 2.0)
         with pytest.raises(ValueError):
             invert_share_weight(f_max * 1.01, 2.0)
+
+    def test_target_below_the_upper_bracket_gives_a_full_share(self):
+        # f(1 - 1e-16) is about 1e-16 near alpha = 1; smaller targets mean a
+        # share of 1 to float precision, not an unbracketed root
+        assert invert_share_weight(1e-24, ALPHA_ULP) == 1.0 - 1e-16
+        assert invert_share_weight(1e-300, 1.5) == 1.0 - 1e-16
 
     def test_round_trips_across_branch(self):
         rng = np.random.default_rng(5)
@@ -149,8 +164,99 @@ class TestSolveForSet:
             eq_unit.investments, rel=1e-12
         )
 
+    @settings(max_examples=150)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
+        st.floats(1.0, 2.0, exclude_min=True),
+        st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]),
+        st.floats(0.0, 1.0),
+    )
+    def test_members_never_prefer_abstaining(self, u, alpha, prize, spread):
+        # every member's share lies on [1 - 1/alpha, 1), where its utility
+        # at the first-order point is >= 0; nothing in solve_for_set checks it
+        costs = tuple(prize * (1.0 + spread * x) for x in u)
+        spec = ContestSpec(costs, alpha=alpha, prize=prize)
+        k = min(len(costs), participation_cap(alpha))
+        if k < 2:
+            return
+        eq = solve_for_set(spec, range(k))
+        if eq is None:
+            return
+        for i in eq.participants:
+            assert eq.certificate.verdicts[i].utility >= -1e-12 * prize
+
+
+class TestAlphaJustAboveOne:
+    """At alpha = 1 + 1 ulp, far-apart costs put share targets below the
+    inversion's upper bracket, which once raised "not bracketed"."""
+
+    @pytest.mark.parametrize("costs", [(1e-12, 1.0), (1e-12, 0.2)])
+    def test_solve_for_set_returns(self, costs):
+        eq = solve_for_set(ContestSpec(costs, alpha=ALPHA_ULP), (0, 1))
+        assert eq is None or isinstance(eq, EosEquilibrium)
+
+    @pytest.mark.parametrize("costs", [(1e-12, 1.0), (1e-12, 0.2, 0.3)])
+    def test_enumerate_returns_a_list(self, costs):
+        assert isinstance(
+            enumerate_equilibria(ContestSpec(costs, alpha=ALPHA_ULP)), list)
+
+
+@st.composite
+def cost_class_specs(draw):
+    """n <= 8 miners drawn from at most three cost levels."""
+    levels = draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=3))
+    n = draw(st.integers(2, 8))
+    costs = tuple(draw(st.sampled_from(levels)) for _ in range(n))
+    prize = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    alpha = draw(st.floats(1.0, 2.0, exclude_min=True))
+    return ContestSpec(tuple(prize * c for c in costs), alpha, prize)
+
 
 class TestEnumerate:
+    @settings(max_examples=60)
+    @given(cost_class_specs())
+    def test_copies_certified_by_symmetry_match_a_fresh_check(self, spec):
+        counts = Counter()
+
+        def counted(name, fn, outcome=lambda result: True):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                counts[name] += bool(outcome(result))
+                return result
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eos, "verify_equilibrium",
+                       counted("verify", eos.verify_equilibrium))
+            mp.setattr(eos, "solve_for_set",
+                       counted("solved", eos.solve_for_set,
+                               lambda result: result is not None))
+            eqs = enumerate_equilibria(spec)
+        assert counts["verify"] == counts["solved"]
+
+        by_multiset = Counter()
+        for eq in eqs:
+            assert eq.participants == tuple(
+                i for i, q in enumerate(eq.investments) if q > 0)
+            assert eq.shares == pytest.approx(
+                shares(spec, eq.investments).shares, abs=1e-15)
+            cert = eq.certificate
+            fresh = verify_equilibrium(spec, eq.investments)
+            assert cert.certified and fresh.certified
+            assert [v.miner for v in cert.verdicts] == list(range(spec.n))
+            assert cert.marginal_miners == fresh.marginal_miners
+            assert ([v.note for v in cert.verdicts]
+                    == [v.note for v in fresh.verdicts])
+            for mine, theirs in zip(cert.verdicts, fresh.verdicts):
+                assert abs(mine.slack - theirs.slack) <= 1e-12 * spec.prize
+            by_multiset[tuple(sorted(spec.costs[i]
+                                     for i in eq.participants))] += 1
+        # every index set of a certified cost multiset is reported once
+        for key, found in by_multiset.items():
+            assert found == sum(
+                1 for s in combinations(range(spec.n), len(key))
+                if tuple(sorted(spec.costs[i] for i in s)) == key)
+
     def test_deterrence_m2_exactly_three(self):
         spec = deterrence_spec(2)
         eqs = enumerate_equilibria(spec)
@@ -285,6 +391,12 @@ class TestVerify:
         cert = verify_equilibrium(spec, (1.0, 1.0))
         assert not cert.certified
         assert cert.worst_slack < -0.4  # each earns -1/2, abstaining gives 0
+
+    def test_verdicts_are_named_tuples(self):
+        cert = verify_equilibrium(deterrence_spec(2), (0.0, 0.5, 0.5, 0.0))
+        v = cert.verdicts[1]
+        assert v == tuple(v) and v[0] == v.miner == 1
+        assert v._replace(miner=3).miner == 3
 
     def test_all_zero_profile_rejected(self):
         spec = ContestSpec(costs=(1.0, 1.0), alpha=1.5)

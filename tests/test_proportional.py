@@ -76,6 +76,33 @@ class TestSolveThreshold:
         with pytest.raises(ValueError):
             solve_threshold((1.0,))
 
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(1, 20), min_size=2, max_size=30))
+    def test_prefix_scan_matches_bisection_on_tied_costs(self, ticks):
+        # costs on a grid of 0.1 tie often, so rounded candidates land on
+        # tied costs; the scan must still return the oracle's threshold
+        costs = tuple(t / 10 for t in ticks)
+        c_star = solve_threshold(costs)
+        oracle, _ = solve_threshold_bisection(costs)
+        assert abs(c_star - oracle) <= 1e-12 * oracle
+        assert abs(threshold_function(costs, c_star) - 1.0) <= 1e-10
+        eq = solve_equilibrium(ContestSpec(costs))
+        assert (eq.c_star, eq.method, eq.iterations) == (
+            c_star, "prefix-scan", 0)
+
+    def test_threshold_on_a_tied_cost(self):
+        # X(0.8) = 1 exactly, so c* equals the cost 0.8 and that miner
+        # abstains; no candidate lies strictly above its own prefix's
+        # largest cost once rounded, which once forced a bisection
+        costs = (0.5, 0.6, 0.6, 0.7, 0.8, 0.9, 0.9)
+        eq = solve_equilibrium(ContestSpec(costs))
+        assert eq.c_star == 0.8
+        assert eq.participants == (0, 1, 2, 3)
+        assert (eq.method, eq.iterations) == ("prefix-scan", 0)
+        assert eq.residual <= 1e-15
+        oracle, _ = solve_threshold_bisection(costs)
+        assert eq.c_star == pytest.approx(oracle, rel=1e-12)
+
 
 class TestSolveEquilibrium:
     def test_symmetric_four(self):
