@@ -53,11 +53,24 @@ def _sums_after(power: np.ndarray) -> np.ndarray:
     return np.concatenate((np.cumsum(power[:0:-1])[::-1], [0.0]))
 
 
+def _powers(q, alpha: float):
+    """q**alpha for finite q >= 0, scalar or elementwise; ValueError when a
+    power overflows, since there is then no finite aggregate power."""
+    if alpha == 1.0:
+        return q
+    with np.errstate(over="ignore"):
+        power = np.power(q, alpha)
+    if np.isinf(power).any():
+        raise ValueError(f"investments**alpha leave the float range "
+                         f"(up to {float(np.max(q))!r}, alpha {alpha!r})")
+    return power
+
+
 def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
     """sum_{j != i} q_j**alpha for every miner i, the power each competes
     against, in O(n) from exclusive prefix and suffix sums. Total minus
     own would cancel when one miner holds nearly all the power."""
-    power = q if alpha == 1.0 else q**alpha
+    power = _powers(q, alpha)
     return _sums_after(power[::-1])[::-1] + _sums_after(power)
 
 
@@ -185,7 +198,9 @@ def best_response_eos(
     q_hi = max(1.0 / cost, 2.0 * q_lo)
     while marg(q_hi) > 0.0:  # alpha > 2 can push the root past 1/cost
         q_hi *= 2.0
-    res = bisect_monotone(marg, q_lo, q_hi, f_tol=1e-13,
+    # marginal utility is in cost units: a relative bound keeps the
+    # response covariant when costs scale
+    res = bisect_monotone(marg, q_lo, q_hi, f_tol=1e-13 * cost,
                           x_tol=1e-15 * q_hi, max_iter=200)
     q_star = res.root
     u_star = _utility_against(q_star, cost, alpha, a)

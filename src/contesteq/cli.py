@@ -37,7 +37,7 @@ EXIT_NO_EQUILIBRIUM = 4
 EXIT_NOT_CERTIFIED = 5
 
 SCENARIO_FIELDS = {"alpha", "costs", "prize", "labels"}
-DYNAMICS_FIELDS = {"initial", "max_rounds", "convergence_tol", "damping"}
+DYNAMICS_FIELDS = {"initial", "max_rounds", "convergence_tol"}
 
 
 class ScenarioError(ValueError):
@@ -372,18 +372,14 @@ def load_dynamics_config(path: str, spec: ContestSpec,
         initial_profile=tuple(initial),
         max_rounds=int(data.get("max_rounds", 10_000)),
         convergence_tol=float(data.get("convergence_tol", 1e-10)),
-        damping=float(data.get("damping", 1.0)),
     )
 
 
 def cmd_dynamics(args) -> int:
     spec, labels, _ = load_scenario(args.scenario)
     config = load_dynamics_config(args.config, spec, args.seed)
-    # terminal certification is looser (1e-8) than solver certification
-    # unless explicitly overridden
-    verify_tol = (certification_tolerance()
-                  if "CONTEST_EQ_TOL" in os.environ else 1e-8)
-    trajectory = run_dynamics(spec, config, verify_tol=verify_tol)
+    trajectory = run_dynamics(spec, config,
+                              verify_tol=certification_tolerance())
     with open(args.out, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["round", "miner_label", "investment", "share",

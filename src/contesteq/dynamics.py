@@ -7,11 +7,13 @@ Ties between abstaining and the interior optimum break toward the
 incumbent action. A miner facing zero aggregate opposition has no best
 response and keeps its incumbent investment.
 
-Termination: a round with max investment change <= convergence_tol ends
-the run; the terminal profile is then verified, and the trajectory is
-"converged" only if it certifies — otherwise the no-change round is a
-length-1 revisit and is reported "cycle_detected". Longer cycles are
-caught by hashing profiles quantized at 1e-9. Nothing here claims
+Termination: a round whose largest spend change max_i c_i * |dq_i|, a
+share of the prize, is at most convergence_tol ends the run; the terminal
+profile is then certified at eos.CERT_TOL and the trajectory is
+"converged" only if it certifies, else "cycle_detected" (a length-1
+revisit). The update is deterministic, so a round ending bit for bit on
+an earlier round's profile is a cycle too. Neither rule is in investment
+units: costs x k give the same run with profiles / k. Nothing here claims
 convergence in general; statuses report what happened.
 
 Prize boundary: run_dynamics maps its spec to the unit-prize game once and
@@ -29,20 +31,15 @@ import numpy as np
 from . import best_response as br
 from .core import (ContestSpec, as_investments, shares, unit_prize,
                    unit_utilities)
-from .eos import EquilibriumCertificate, verify_equilibrium
-
-#: quantum for cycle-detection profile hashing
-CYCLE_QUANTUM = 1e-9
+from .eos import CERT_TOL, EquilibriumCertificate, verify_equilibrium
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
     initial_profile: tuple[float, ...]
     max_rounds: int = 10_000
+    #: largest spend change c_i * |dq_i| per prize that ends the run
     convergence_tol: float = 1e-10
-    #: fraction of the step toward the best response taken each update;
-    #: values below 1 are exploratory smoothing, not part of the model
-    damping: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(
@@ -53,8 +50,6 @@ class DynamicsConfig:
             raise ValueError("max_rounds must be >= 1")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -83,76 +78,62 @@ class Trajectory:
                 yield rnd, miner, q, x[miner], float(u[miner])
 
 
-def _quantized(q: np.ndarray) -> bytes:
-    """q in units of CYCLE_QUANTUM, rounded half to even like round();
-    beyond the float range it keys as inf, and -0.0 keys like 0.0."""
-    with np.errstate(over="ignore"):
-        return (np.rint(q / CYCLE_QUANTUM) + 0.0).tobytes()
-
-
 def run_dynamics(
     spec: ContestSpec,
     config: DynamicsConfig,
-    verify_tol: float = 1e-8,
+    verify_tol: float = CERT_TOL,
 ) -> Trajectory:
     """Iterate best responses from config.initial_profile.
 
     The initial profile must have at least one positive investment (from
     all zeros, no miner has a best response). Identical spec and config
-    reproduce the trajectory bit for bit. An undamped update that lowers
-    the updating miner's utility by more than 1e-12 of the prize raises
+    reproduce the trajectory bit for bit. An update that lowers the
+    updating miner's utility by more than 1e-12 of the prize raises
     ArithmeticError: exact best responses never do.
     """
     unit = unit_prize(spec)
     alpha = unit.alpha
+    costs = np.asarray(unit.costs)
     q = as_investments(unit, config.initial_profile)
     if not np.any(q > 0):
         raise ValueError("initial profile must have a positive investment")
     q = q.copy()
     snapshots = [tuple(q.tolist())]
-    seen = {_quantized(q): 0}
+    seen = {(q + 0.0).tobytes()}  # + 0.0 folds -0.0 into 0.0
     status = "max_rounds_exhausted"
     certificate = None
-    rounds_used = 0
-    for rnd in range(1, config.max_rounds + 1):
-        rounds_used = rnd
+    for rounds_used in range(1, config.max_rounds + 1):  # max_rounds >= 1
         previous = q.copy()
         # miner i faces the miners before it, already updated, plus the
         # round's incumbents after it: a running prefix plus the suffix sums
         # of the round's profile, O(1) per update with nothing cancelled
         before = 0.0
-        after = br._sums_after(q if alpha == 1.0 else q**alpha).tolist()
+        after = br._sums_after(br._powers(q, alpha)).tolist()
         for i, cost in enumerate(unit.costs):
             opposition = before + after[i]
-            if opposition == 0.0:
-                before += float(q[i]) ** alpha
-                continue  # no best response exists: keep the incumbent
-            result = br._best_response(cost, alpha, opposition)
-            target = min(
-                result.optimal_investments,
-                key=lambda m: (abs(m - q[i]), m),
-            )
-            new_qi = q[i] + config.damping * (target - q[i])
-            if config.damping == 1.0:
-                gain = (br._utility_against(new_qi, cost, alpha, opposition)
-                        - br._utility_against(float(q[i]), cost, alpha,
-                                              opposition))
+            qi = float(q[i])
+            if opposition != 0.0:  # else no best response: keep the incumbent
+                result = br._best_response(cost, alpha, opposition)
+                target = min(result.optimal_investments,
+                             key=lambda m: (abs(m - qi), m))
+                gain = (br._utility_against(target, cost, alpha, opposition)
+                        - br._utility_against(qi, cost, alpha, opposition))
                 if gain < -1e-12:
                     raise ArithmeticError(f"best response lowered miner {i}'s"
                                           f" utility by {-gain} of the prize")
-            q[i] = new_qi
-            before += float(new_qi) ** alpha
+                q[i] = qi = target
+            before += float(br._powers(qi, alpha))
         snapshots.append(tuple(q.tolist()))
-        change = float(np.abs(q - previous).max())
+        change = float((costs * np.abs(q - previous)).max())
         if change <= config.convergence_tol:
             certificate = verify_equilibrium(spec, q, verify_tol)
             status = "converged" if certificate.certified else "cycle_detected"
             break
-        key = _quantized(q)
-        if key in seen and seen[key] <= rnd - 2:
+        key = (q + 0.0).tobytes()
+        if key in seen:
             status = "cycle_detected"
             break
-        seen[key] = rnd
+        seen.add(key)
     return Trajectory(
         profiles=tuple(snapshots),
         status=status,

@@ -11,7 +11,6 @@ import numpy as np
 
 from contesteq import best_response as br
 from contesteq.core import as_investments, shares, unit_prize, unit_utilities
-from contesteq.dynamics import CYCLE_QUANTUM
 from contesteq.eos import (CERT_TOL, EquilibriumCertificate, MinerVerdict,
                            verify_equilibrium)
 
@@ -57,27 +56,28 @@ def reference_verify(spec, profile, tol=CERT_TOL,
         certified=certified, tolerance=tol, verdicts=tuple(verdicts))
 
 
-def reference_dynamics(spec, config, verify_tol=1e-8):
+def reference_dynamics(spec, config, verify_tol=CERT_TOL):
     """run_dynamics with a masked opposition per update; returns the
     status and the terminal profile."""
     unit = unit_prize(spec)
     q = as_investments(unit, config.initial_profile).copy()
-    seen = {tuple(int(round(x / CYCLE_QUANTUM)) for x in q): 0}
-    for rnd in range(1, config.max_rounds + 1):
+    seen = {tuple(q.tolist())}  # tuples compare -0.0 equal to 0.0
+    for _ in range(config.max_rounds):
         previous = q.copy()
         for i, cost in enumerate(unit.costs):
             a = masked_opposition(q, unit.alpha, i)
             if a == 0.0:
                 continue
             result = br._best_response(cost, unit.alpha, a)
-            target = min(result.optimal_investments,
-                         key=lambda m: (abs(m - q[i]), m))
-            q[i] = q[i] + config.damping * (target - q[i])
-        if float(np.abs(q - previous).max()) <= config.convergence_tol:
+            q[i] = min(result.optimal_investments,
+                       key=lambda m: (abs(m - q[i]), m))
+        spend = max(c * abs(new - old)
+                    for c, new, old in zip(unit.costs, q, previous))
+        if spend <= config.convergence_tol:
             certified = verify_equilibrium(spec, q, verify_tol).certified
             return ("converged" if certified else "cycle_detected"), q
-        key = tuple(int(round(x / CYCLE_QUANTUM)) for x in q)
-        if key in seen and seen[key] <= rnd - 2:
+        key = tuple(q.tolist())
+        if key in seen:
             return "cycle_detected", q
-        seen[key] = rnd
+        seen.add(key)
     return "max_rounds_exhausted", q

@@ -106,6 +106,20 @@ class TestEosBestResponse:
             second = u(q + h) - 2 * u(q) + u(q - h)
             assert second <= 0.0
 
+    @settings(max_examples=60)
+    @given(cost=st.floats(0.2, 5.0), alpha=st.floats(1.05, 2.5),
+           opposition=st.floats(0.01, 10.0), e=st.floats(-12.0, 12.0))
+    def test_covariant_in_the_cost_scale(self, cost, alpha, opposition, e):
+        # cost x k is the same game with investments / k, so opposition
+        # power / k**alpha; the response scales by 1/k, utility not at all
+        k = 10.0**e
+        base = best_response_eos(cost, alpha, opposition)
+        scaled = best_response_eos(k * cost, alpha, opposition / k**alpha)
+        assert scaled.optimal_utility == pytest.approx(base.optimal_utility,
+                                                       rel=1e-9, abs=1e-12)
+        assert k * max(scaled.optimal_investments) == pytest.approx(
+            max(base.optimal_investments), rel=1e-9)
+
 
 class TestGridOracle:
     @settings(max_examples=60)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contesteq import (
     ContestSpec,
@@ -12,7 +12,6 @@ from contesteq import (
     utility,
     verify_equilibrium,
 )
-from contesteq.dynamics import CYCLE_QUANTUM, _quantized
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 
@@ -23,8 +22,8 @@ class TestConfig:
             DynamicsConfig(initial_profile=(1.0, 1.0), max_rounds=0)
         with pytest.raises(ValueError):
             DynamicsConfig(initial_profile=(1.0, 1.0), convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            DynamicsConfig(initial_profile=(1.0, 1.0), damping=1.5)
+        with pytest.raises(TypeError):  # damping is no longer a knob
+            DynamicsConfig(initial_profile=(1.0, 1.0), damping=0.5)
 
     def test_all_zero_start_rejected(self):
         spec = ContestSpec(costs=(1.0, 1.0))
@@ -61,14 +60,6 @@ class TestProportionalDynamics:
             drift = max(abs(a - b) for a, b in zip(t.terminal, eq.investments))
             assert drift <= 1e-8
 
-    def test_damped_updates_still_converge(self):
-        spec = ContestSpec(costs=(1.0, 1.0))
-        t = run_dynamics(
-            spec, DynamicsConfig(initial_profile=(0.3, 0.7), damping=0.5)
-        )
-        assert t.status == "converged"
-        assert t.terminal == pytest.approx((0.25, 0.25), abs=1e-8)
-
     def test_max_rounds_exhausted(self):
         spec = ContestSpec(costs=EXAMPLE1_COSTS)
         t = run_dynamics(
@@ -79,8 +70,8 @@ class TestProportionalDynamics:
 
 
     def test_huge_finite_profile_neither_overflows_nor_warns(self):
-        # 1e300 in units of the cycle quantum overflows to inf; the cycle
-        # key once raised OverflowError on it, after a RuntimeWarning
+        # a cycle key quantized at 1e-9 once raised OverflowError on 1e300,
+        # after a RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = run_dynamics(ContestSpec((1.0, 1.0)),
@@ -88,26 +79,39 @@ class TestProportionalDynamics:
         assert t.status == "cycle_detected"
         assert t.terminal == (0.0, 1e300)
 
+    def test_slow_approach_is_no_false_cycle(self):
+        # changes of ~3e-10 per round once repeated a key quantized at 1e-9
+        # two rounds later, so this unique equilibrium was reported a cycle
+        spec = ContestSpec((1.23, 2.88))
+        t = run_dynamics(spec, DynamicsConfig((0.42, 0.23)))
+        assert t.status == "converged"
+        q_star = solve_equilibrium(spec).investments
+        assert t.terminal == pytest.approx(q_star, rel=1e-9)
 
-class TestCycleKey:
-    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
-           st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1e-3]),
-                    min_size=6, max_size=6),
-           st.sampled_from([-0.0, 1.0]))
-    def test_same_equality_as_rounding_each_investment(self, ticks, offsets,
-                                                       sign_of_zero):
-        # two profiles share a key iff round(q / quantum) agrees miner by
-        # miner, halves rounding to even, and -0.0 keys like 0.0
-        a = np.asarray([(k + f) * CYCLE_QUANTUM
-                        for k, f in zip(ticks, offsets)])
-        b = np.asarray([k * CYCLE_QUANTUM for k in ticks])
-        a[a == 0.0] *= sign_of_zero
+    @settings(max_examples=30)
+    @given(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=5),
+           st.lists(st.floats(0.01, 1.0), min_size=5, max_size=5),
+           st.integers(-40, 40))
+    def test_power_of_two_cost_scale_gives_the_same_run(self, costs, start,
+                                                        m):
+        # costs x 2**m and the start x 2**-m rescale every float exactly
+        k = 2.0 ** m
+        start = start[:len(costs)]
+        base = run_dynamics(ContestSpec(tuple(costs)),
+                            DynamicsConfig(tuple(start)))
+        t = run_dynamics(ContestSpec(tuple(k * c for c in costs)),
+                         DynamicsConfig(tuple(q / k for q in start)))
+        assert (t.status, t.rounds_used) == (base.status, base.rounds_used)
+        assert [k * q for q in t.terminal] == list(base.terminal)
 
-        def reference(q):
-            return tuple(int(round(v / CYCLE_QUANTUM)) for v in q)
 
-        assert (_quantized(a) == _quantized(b)) == (
-            reference(a) == reference(b))
+class TestFloatRange:
+    def test_overflowing_power_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leave the float range"):
+                run_dynamics(ContestSpec((1.0, 1.0), alpha=1.5),
+                             DynamicsConfig((1e300, 1e300)))
 
 
 class TestEosDynamics:

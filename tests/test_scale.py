@@ -91,6 +91,45 @@ class TestRegressions:
                 solve(spec)
 
 
+    def test_overflowing_power_is_named_by_verify(self):
+        spec = ContestSpec((1.0, 1.0), alpha=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leave the float range"):
+                verify_equilibrium(spec, (1e300, 1e300))
+
+    @pytest.mark.parametrize("prize", [1.0, 1e9, 1e12])
+    def test_profile_5_percent_off_rejected_at_prize_1e12(self, prize):
+        # at prize 1e12 the unit cost is 1e-12, and a best response once
+        # stopped at an absolute marginal utility of 1e-13: a 10% error
+        # that certified this profile
+        spec = ContestSpec((1.0, 1.0), alpha=1.5, prize=prize)
+        eq = enumerate_equilibria(spec)[0]
+        off = (1.05 * eq.investments[0], eq.investments[1])
+        cert = verify_equilibrium(spec, off)
+        assert not cert.certified
+        assert cert.worst_slack == pytest.approx(-4.6185e-4 * prize,
+                                                 rel=1e-4)
+
+
+class TestCostScale:
+    """Costs x k alone is the same game with investments / k: statuses and
+    round counts do not change, and the terminal profile scales by 1/k."""
+
+    @pytest.mark.parametrize("k", [1e-12, 1e-6, 1e6, 1e8, 1e12])
+    @pytest.mark.parametrize("costs, alpha, start", [
+        (HARMONIC10, 1.0, (0.5,) * 10),
+        ((1.0, 1.05, 1.3), 1.3, (0.4, 0.2, 0.1)),
+    ])
+    def test_dynamics(self, costs, alpha, start, k):
+        base = run_dynamics(ContestSpec(costs, alpha), DynamicsConfig(start))
+        t = run_dynamics(ContestSpec(tuple(k * c for c in costs), alpha),
+                         DynamicsConfig(tuple(q / k for q in start)))
+        assert (t.status, t.rounds_used) == (base.status, base.rounds_used)
+        assert [k * q for q in t.terminal] == pytest.approx(
+            base.terminal, rel=1e-12, abs=0.0)
+
+
 scale = st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
 cost_lists = st.lists(st.floats(0.5, 2.0), min_size=2, max_size=4)
 
