@@ -8,10 +8,13 @@ the power scale s = (sum_j q_j**alpha)**(1/alpha), to
     c_i * s = prize * alpha * f(x_i),   f(x) = x**(1 - 1/alpha) * (1 - x),
 
 with f strictly decreasing on [1 - 1/alpha, 1). Each share is therefore a
-decreasing function of s, the share sum crosses 1 at most once, and an
-outer bisection on s plus an inner inversion of f nails the unique
-candidate for S. Candidates are then certified miner-by-miner against the
-exact best-response oracle; only certified profiles are equilibria.
+decreasing function of s and the share sum crosses 1 at most once. In
+share-gap coordinates, y = 1 - x and u = log s, every gap is increasing
+and convex in u, so a safeguarded Newton on u solves the gap sum, with an
+inner monotone Newton per member for the gaps and their slopes; this
+nails the unique candidate for S. Candidates are then certified
+miner-by-miner against the exact best-response oracle; only certified
+profiles are equilibria.
 
 Prize boundary: verify_equilibrium and solve_for_set map their spec to the
 unit-prize game once, on entry, and work on it with prize-free kernels, so
@@ -32,14 +35,11 @@ import numpy as np
 from . import best_response as br
 from .core import (ContestSpec, ProfileLike, as_investments, shares,
                    unit_prize, unit_utilities)
-from .roots import bisect_monotone
 
 #: default certification tolerance on per-miner utility slack (x prize)
 CERT_TOL = 1e-9
-#: |share sum - 1| tolerance for the outer bisection on the power scale
+#: |share sum - 1| tolerance for the solve on the power scale
 SUM_TOL = 1e-13
-#: |f(x) - target| tolerance for the share-weight inversion
-INVERT_TOL = 1e-13
 #: most miners enumerate_equilibria accepts
 MAX_MINERS = 30
 
@@ -114,34 +114,64 @@ def share_weight(x: float, alpha: float) -> float:
     return x ** (1.0 - 1.0 / alpha) * (1.0 - x)
 
 
-def invert_share_weight(target: float, alpha: float) -> float:
-    """Unique x in [1 - 1/alpha, 1) with f(x) = target (within 1e-13).
+def _member_gaps(log_targets: list[float], start: list[float],
+                 alpha: float) -> tuple[list[float], list[float]]:
+    """Log share gaps z = log(1 - x) of members whose share weights are
+    f(x) = t, given log t, with their slopes dz/dlog t.
 
-    Bisection on the decreasing branch. A target above the branch maximum
-    f(1 - 1/alpha) is infeasible: no share on the participation branch can
-    carry that weight, so the caller's miner cannot participate at the
-    probed scale. A target at or below f(1 - 1e-16) gives 1 - 1e-16, the
-    largest float below 1.
+    In z, f(x) = t reads h(z) = z + beta*log(1 - e**z) - log t = 0 with
+    beta = 1 - 1/alpha, and the participation branch x >= 1 - 1/alpha is
+    z <= z_max = -log(alpha). There h is concave and increasing, so Newton
+    from a start at or below the root rises monotonically to it and stops
+    when a step makes no progress. log t is such a start, since
+    f(x) <= 1 - x. A target above the branch maximum stops at z_max. Logs
+    keep a target of 1e-300 from underflowing and need no bracket. The
+    members are a handful of floats, so plain floats beat numpy here.
+    """
+    beta = (alpha - 1.0) / alpha
+    z_max = -math.log(alpha)
+    y_max = math.exp(z_max)
+    gaps, slopes = [], []
+    for log_t, z in zip(log_targets, start):
+        z = min(z, z_max)
+        while True:
+            x = -math.expm1(z)
+            # h'(z) = 1 - beta*y/x = beta + (1/alpha - y)/x: a sum of two
+            # terms >= 0, so it keeps its digits at the branch end, where
+            # it is beta
+            slope = beta - y_max * math.expm1(z - z_max) / x
+            step = min(z - (z + beta * math.log(x) - log_t) / slope, z_max)
+            if not step > z:
+                break
+            z = step
+        gaps.append(z)
+        slopes.append(1.0 / slope)
+    return gaps, slopes
+
+
+def invert_share_weight(target: float, alpha: float) -> float:
+    """Unique x in [1 - 1/alpha, 1) with f(x) = target.
+
+    One member of the share-gap Newton kernel (_member_gaps), started at
+    log target. A target above the branch maximum f(1 - 1/alpha) is
+    infeasible: no share on the participation branch can carry that
+    weight, so the caller's miner cannot participate at the probed scale.
+    The share is clamped to [1 - 1/alpha, 1 - 1e-16], so a target at or
+    below f(1 - 1e-16) gives 1 - 1e-16, the largest float below 1.
     """
     if alpha <= 1:
         raise ValueError("share weight is defined for alpha > 1")
     if target <= 0.0:
         raise ValueError("target must be positive")
-    lo, hi = 1.0 - 1.0 / alpha, 1.0 - 1e-16
+    lo = 1.0 - 1.0 / alpha
     f_max = share_weight(lo, alpha)
-    if target >= f_max:
-        if target <= f_max * (1.0 + 1e-9):
-            return lo  # branch endpoint, up to rounding of the target
+    if target > f_max * (1.0 + 1e-9):
         raise ValueError(
             f"target {target} above branch maximum {f_max}: infeasible"
         )
-    if target <= share_weight(hi, alpha):
-        return hi  # the share is 1 to float precision
-    res = bisect_monotone(
-        lambda x: share_weight(x, alpha), lo, hi,
-        target=target, f_tol=INVERT_TOL, max_iter=200,
-    )
-    return res.root
+    log_target = [math.log(target)]
+    z, _ = _member_gaps(log_target, log_target, alpha)
+    return min(max(-math.expm1(z[0]), lo), 1.0 - 1e-16)
 
 
 def verify_equilibrium(
@@ -204,14 +234,22 @@ def solve_for_set(
 ) -> Optional[EosEquilibrium]:
     """Solve the stationarity system for one candidate participant set.
 
-    Bisects the power scale s on its feasible range (0, s_max], where
-    s_max = alpha * f(1 - 1/alpha) / max cost in the set at unit prize,
-    for the unique s with share sum 1 (the share sum decreases in s, see
-    the module docstring); reconstructs q_i = x_i**(1/alpha) * s. Returns
-    None when no such s exists (the set cannot be a participant set of any
-    equilibrium). Every member's share lies on [1 - 1/alpha, 1), where its
-    utility x(1 - alpha(1 - x)) at the first-order point is >= 0, so no
-    member would rather abstain.
+    Finds the unique power scale s on its feasible range (0, s_max], where
+    s_max = alpha * f(1 - 1/alpha) / max cost in the set at unit prize, at
+    which the member shares sum to 1, and reconstructs
+    q_i = x_i**(1/alpha) * s. In u = log s the gap sum
+    F(u) = sum_i (1 - x_i) - (k - 1) is convex and increasing, and one
+    kernel call per step gives every member's gap and slope, so Newton
+    solves F = 0 from u = log s_max. Safeguard (rtsafe): F stays bracketed
+    in [log s_max + log 1e-12, log s_max], and a Newton step that leaves the
+    bracket or makes no progress becomes a bisection step in u. From the
+    right of the root, Newton on a convex F never overshoots; from the
+    left it may, and then bisects. At most 200 steps. `iterations` counts
+    them and `residual` is |sum x - 1|.
+    Returns None when the shares exceed 1 already at s_max (the set cannot
+    be a participant set of any equilibrium). Every member's share lies on
+    [1 - 1/alpha, 1), where its utility x(1 - alpha(1 - x)) at the
+    first-order point is >= 0, so no member would rather abstain.
     The returned candidate carries a full best-response certificate;
     callers decide what to do with uncertified candidates.
     """
@@ -221,27 +259,34 @@ def solve_for_set(
     s_idx = _validate_set(unit, participant_set)
     alpha = unit.alpha
     costs = [unit.costs[i] for i in s_idx]
-    f_max = share_weight(1.0 - 1.0 / alpha, alpha)
-    s_max = alpha * f_max / max(costs)
-
-    def member_shares(s: float) -> list[float]:
-        return [invert_share_weight(c * s / alpha, alpha) for c in costs]
-
-    end = sum(member_shares(s_max)) - 1.0
-    iterations = 0
-    if end > SUM_TOL:
+    s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
+    log_weights = [math.log(c) - math.log(alpha) for c in costs]
+    u = hi = math.log(s_max)
+    lo = hi + math.log(1e-12)
+    log_targets = [w + u for w in log_weights]
+    z, dz = _member_gaps(log_targets, log_targets, alpha)
+    gap = math.fsum(map(math.exp, z)) - (len(s_idx) - 1)
+    if -gap > SUM_TOL:
         return None  # shares cannot sum down to 1 on the branch
-    if end >= -SUM_TOL:
-        s_star, residual = s_max, abs(end)
-    else:
-        res = bisect_monotone(
-            lambda s: sum(member_shares(s)), s_max * 1e-12, s_max,
-            target=1.0, f_tol=SUM_TOL, max_iter=200,
-        )
-        s_star, residual, iterations = res.root, abs(res.residual), res.iterations
-    x_members = np.asarray(member_shares(s_star))
+    iterations = 0
+    while abs(gap) > SUM_TOL and iterations < 200:
+        lo, hi = (lo, u) if gap > 0.0 else (u, hi)
+        nxt = u - gap / sum(math.exp(a) * b for a, b in zip(z, dz))
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break  # the bracket is down to adjacent floats
+        # each z is convex in log t, so its tangent starts below the root
+        log_targets = [w + nxt for w in log_weights]
+        z, dz = _member_gaps(
+            log_targets,
+            [max(t, a + (nxt - u) * b) for t, a, b in zip(log_targets, z, dz)],
+            alpha)
+        iterations, u = iterations + 1, nxt
+        gap = math.fsum(map(math.exp, z)) - (len(s_idx) - 1)
+    s_star = math.exp(u) if iterations else s_max
     q = np.zeros(unit.n)
-    q[list(s_idx)] = x_members ** (1.0 / alpha) * s_star
+    q[list(s_idx)] = (-np.expm1(z)) ** (1.0 / alpha) * s_star
     return EosEquilibrium(
         participants=s_idx,
         investments=tuple(q.tolist()),
@@ -249,7 +294,7 @@ def solve_for_set(
         power_scale=float(s_star),
         certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations,
-        residual=float(residual),
+        residual=abs(gap),
     )
 
 

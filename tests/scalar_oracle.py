@@ -1,8 +1,10 @@
-"""Slow scalar references for the O(n) certification and dynamics kernels.
+"""Slow scalar references for the fast kernels.
 
 Each miner's opposition is summed over a fresh O(n) mask and each best
 response comes from the scalar oracle, one miner at a time: O(n^2) per
-certificate or dynamics round. Kept only as test-time cross-checks.
+certificate or dynamics round. The per-set solve nests scalar bisections:
+one on the power scale s, and one per member and step to invert the share
+weight f. Kept only as test-time cross-checks.
 """
 
 import math
@@ -11,8 +13,10 @@ import numpy as np
 
 from contesteq import best_response as br
 from contesteq.core import as_investments, shares, unit_prize, unit_utilities
-from contesteq.eos import (CERT_TOL, EquilibriumCertificate, MinerVerdict,
-                           verify_equilibrium)
+from contesteq.eos import (CERT_TOL, SUM_TOL, EosEquilibrium,
+                           EquilibriumCertificate, MinerVerdict, _validate_set,
+                           share_weight, verify_equilibrium)
+from contesteq.roots import bisect_monotone
 
 
 def masked_opposition(q: np.ndarray, alpha: float, i: int) -> float:
@@ -81,3 +85,54 @@ def reference_dynamics(spec, config, verify_tol=CERT_TOL):
             return "cycle_detected", q
         seen.add(key)
     return "max_rounds_exhausted", q
+
+
+def reference_invert_share_weight(target: float, alpha: float) -> float:
+    """x in [1 - 1/alpha, 1) with |f(x) - target| <= 1e-13, by bisection on
+    the decreasing branch; targets within 1e-9 above the branch maximum
+    give its end, and targets at or below f(1 - 1e-16) give 1 - 1e-16."""
+    lo, hi = 1.0 - 1.0 / alpha, 1.0 - 1e-16
+    f_max = share_weight(lo, alpha)
+    if target >= f_max:
+        if target <= f_max * (1.0 + 1e-9):
+            return lo
+        raise ValueError(f"target {target} above branch maximum {f_max}")
+    if target <= share_weight(hi, alpha):
+        return hi
+    return bisect_monotone(lambda x: share_weight(x, alpha), lo, hi,
+                           target=target, f_tol=1e-13, max_iter=200).root
+
+
+def reference_solve_for_set(spec, participant_set, tol=CERT_TOL):
+    """solve_for_set by bisection on s over [1e-12 * s_max, s_max] to
+    |share sum - 1| <= SUM_TOL, inverting f member by member at every
+    step."""
+    unit = unit_prize(spec)
+    s_idx = _validate_set(unit, participant_set)
+    alpha = unit.alpha
+    costs = [unit.costs[i] for i in s_idx]
+    s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
+
+    def member_shares(s):
+        return [reference_invert_share_weight(c * s / alpha, alpha)
+                for c in costs]
+
+    end = sum(member_shares(s_max)) - 1.0
+    iterations = 0
+    if end > SUM_TOL:
+        return None
+    if end >= -SUM_TOL:
+        s_star, residual = s_max, abs(end)
+    else:
+        res = bisect_monotone(lambda s: sum(member_shares(s)),
+                              s_max * 1e-12, s_max, target=1.0,
+                              f_tol=SUM_TOL, max_iter=200)
+        s_star, residual, iterations = (res.root, abs(res.residual),
+                                        res.iterations)
+    q = np.zeros(unit.n)
+    q[list(s_idx)] = np.asarray(member_shares(s_star)) ** (1.0 / alpha) * s_star
+    return EosEquilibrium(
+        participants=s_idx, investments=tuple(q.tolist()),
+        shares=shares(unit, q).shares, power_scale=float(s_star),
+        certificate=verify_equilibrium(spec, q, tol),
+        iterations=iterations, residual=float(residual))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -22,8 +23,12 @@ from contesteq import (
     solve_for_set,
     verify_equilibrium,
 )
+from contesteq import best_response as br
 from contesteq import eos
 from contesteq.best_response import _utility_against
+from contesteq.core import unit_prize
+from scalar_oracle import (reference_invert_share_weight,
+                           reference_solve_for_set)
 
 #: the smallest alpha above 1
 ALPHA_ULP = 1.0000000000000002
@@ -83,10 +88,13 @@ class TestInvertShareWeight:
             invert_share_weight(f_max * 1.01, 2.0)
 
     def test_target_below_the_upper_bracket_gives_a_full_share(self):
-        # f(1 - 1e-16) is about 1e-16 near alpha = 1; smaller targets mean a
-        # share of 1 to float precision, not an unbracketed root
-        assert invert_share_weight(1e-24, ALPHA_ULP) == 1.0 - 1e-16
-        assert invert_share_weight(1e-300, 1.5) == 1.0 - 1e-16
+        # f(1 - 1e-16) is about 1e-16 near alpha = 1; smaller targets, down
+        # to the least subnormal, mean a share of 1 to float precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert invert_share_weight(1e-24, ALPHA_ULP) == 1.0 - 1e-16
+            assert invert_share_weight(1e-300, 1.5) == 1.0 - 1e-16
+            assert invert_share_weight(5e-324, 1.5) == 1.0 - 1e-16
 
     def test_round_trips_across_branch(self):
         rng = np.random.default_rng(5)
@@ -184,6 +192,142 @@ class TestSolveForSet:
             return
         for i in eq.participants:
             assert eq.certificate.verdicts[i].utility >= -1e-12 * prize
+
+
+#: half-width of the band around a decision threshold inside which the
+#: Newton solve and the bisection oracle may decide differently
+BAND = 1e-12
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def set_specs(draw, max_n=6):
+    """2 to max_n miners (at most the participation cap) with costs inside
+    [1e-3, 1e3], log-uniform over a window of up to 6 decades, alpha - 1
+    log-uniform over [1e-12, 1] and the prize over [1e-8, 1e8]."""
+    alpha = 1.0 + draw(log_uniform(1e-12, 1.0))
+    n = draw(st.integers(2, min(max_n, participation_cap(alpha))))
+    decades = draw(st.floats(0.0, 5.9))
+    base = draw(log_uniform(1e-3, 1e3 / 10.0**decades))
+    costs = tuple(base * 10.0 ** (decades * draw(st.floats(0.0, 1.0)))
+                  for _ in range(n))
+    return ContestSpec(costs, alpha, draw(log_uniform(1e-8, 1e8)))
+
+
+def in_none_band(spec, participants):
+    """Whether sum x - 1 at s_max, the quantity solve_for_set compares with
+    SUM_TOL to return None, lies within BAND of it."""
+    unit = unit_prize(spec)
+    alpha = unit.alpha
+    costs = [unit.costs[i] for i in participants]
+    s_max = alpha * share_weight(1 - 1 / alpha, alpha) / max(costs)
+    end = sum(reference_invert_share_weight(c * s_max / alpha, alpha)
+              for c in costs) - 1.0
+    return abs(end - eos.SUM_TOL) <= BAND
+
+
+def in_certification_band(spec, eq):
+    """Whether the worst slack is within BAND of the certification
+    threshold, or some miner's interior utility within BAND of the
+    marginal threshold, all in units of the prize."""
+    cert, v = eq.certificate, spec.prize
+    if abs(cert.worst_slack + cert.tolerance * v) <= BAND * v:
+        return True
+    unit = unit_prize(spec)
+    q = np.asarray(eq.investments)
+    _, _, interior = br._best_responses(
+        np.asarray(unit.costs), unit.alpha,
+        br._opposition_powers(q, unit.alpha))
+    return bool(np.any(np.abs(np.abs(interior) - 1e-9) <= BAND))
+
+
+class TestNewtonSolve:
+    """solve_for_set against the nested-bisection oracle it replaced."""
+
+    @settings(max_examples=200)
+    @given(set_specs(), st.data())
+    def test_same_decisions_as_the_bisection_oracle(self, spec, data):
+        # the cheapest k miners, so outsiders are certified too
+        k = data.draw(st.integers(2, spec.n))
+        members = tuple(sorted(spec.ascending_order()[:k].tolist()))
+        new = solve_for_set(spec, members)
+        old = reference_solve_for_set(spec, members)
+        if (new is None) != (old is None):
+            assert in_none_band(spec, members)
+            return
+        if new is None:
+            return
+        assert new.residual <= eos.SUM_TOL
+        if not (in_certification_band(spec, new)
+                or in_certification_band(spec, old)):
+            assert new.certificate.certified == old.certificate.certified
+            assert (new.certificate.marginal_miners
+                    == old.certificate.marginal_miners)
+        if spec.alpha - 1.0 >= 1e-3:
+            assert new.investments == pytest.approx(old.investments,
+                                                    rel=1e-9, abs=0.0)
+
+    @settings(max_examples=30)
+    @given(set_specs(max_n=7))
+    def test_enumeration_finds_the_oracle_sets(self, spec):
+        found = {eq.participants for eq in enumerate_equilibria(spec)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eos, "solve_for_set", reference_solve_for_set)
+            expected = {eq.participants for eq in enumerate_equilibria(spec)}
+        for members in found ^ expected:
+            new = solve_for_set(spec, members)
+            old = reference_solve_for_set(spec, members)
+            assert (in_none_band(spec, members)
+                    or any(in_certification_band(spec, eq)
+                           for eq in (new, old) if eq is not None))
+
+
+def pair_ratio_bound(alpha):
+    """Largest cost ratio c_hi / c_lo at which a pair has a profile with
+    both shares on the branch: f(1 - 1/alpha) / f(1/alpha)."""
+    return share_weight(1 - 1 / alpha, alpha) / share_weight(1 / alpha, alpha)
+
+
+class TestNewtonRegressions:
+    # Near alpha = 1 the gap sum is so steep at s_max that a Newton step
+    # from there can round to no move at all. Without the bisection
+    # safeguard the last three pairs stop at s_max with |share sum - 1|
+    # from 3.4e-3 to 1.5e-2 and fail certification; the first stalls as
+    # well once h' loses its digits at the branch end.
+    @pytest.mark.parametrize("spec", [
+        ContestSpec((1.172922138607785, 6.247788681893557e-07),
+                    alpha=1.0000000000013014),
+        ContestSpec((0.005644859155405974, 1.6388884424467185),
+                    alpha=1.0000000000000016),
+        ContestSpec((1.5690703990119064, 0.0030432445920768434),
+                    alpha=1.000000000000003),
+        ContestSpec((0.10823517439331869, 0.0016236685323310033),
+                    alpha=1.000000000000007),
+    ])
+    def test_alpha_near_one_pairs_certify(self, spec):
+        eq = solve_for_set(spec, (0, 1))
+        assert eq is not None
+        assert eq.residual <= eos.SUM_TOL
+        assert eq.certificate.certified
+
+    def test_deterrence_pairs_and_marginal_miners(self):
+        eqs = enumerate_equilibria(deterrence_spec(2))
+        assert [(eq.participants, eq.certificate.marginal_miners)
+                for eq in eqs] == [((1, 2), (0, 1, 2)), ((1, 3), (0, 1, 3)),
+                                   ((2, 3), (0, 2, 3))]
+
+    @pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0])
+    def test_pair_knife_edge(self, alpha):
+        # at alpha = 2 the bound is 1: only equal costs have a profile
+        bound = pair_ratio_bound(alpha)
+        below = bound * (1 - 1e-6) if bound > 1.0 else bound
+        eq = solve_for_set(ContestSpec((1.0, below), alpha=alpha), (0, 1))
+        assert eq is not None and eq.certificate.certified
+        above = ContestSpec((1.0, bound * (1 + 1e-6)), alpha=alpha)
+        assert solve_for_set(above, (0, 1)) is None
 
 
 class TestAlphaJustAboveOne:

@@ -184,7 +184,7 @@ class TestShareSum:
            alpha=st.floats(1.05, 2.0),
            t=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2))
     def test_share_sum_decreases_in_the_power_scale(self, costs, alpha, t):
-        # the fact solve_for_set's bisection on s relies on
+        # one root at most: solve_for_set's None rule and bracket rely on it
         s_max = alpha * share_weight(1 - 1 / alpha, alpha) / max(costs)
 
         def share_sum(s):
@@ -193,3 +193,23 @@ class TestShareSum:
 
         lo, hi = sorted(t)
         assert share_sum(lo * s_max) >= share_sum(hi * s_max) - 1e-12
+
+    @given(costs=st.lists(st.floats(0.5, 2.0), min_size=2, max_size=6),
+           alpha=st.floats(1.05, 2.0),
+           d=st.lists(st.floats(0.0, 12 * math.log(10)), min_size=2,
+                      max_size=2))
+    def test_gap_sum_is_increasing_and_convex_in_log_s(self, costs, alpha,
+                                                      d):
+        # what solve_for_set's Newton on u = log s relies on: from the
+        # right of the root it never overshoots
+        log_s_max = math.log(
+            alpha * share_weight(1 - 1 / alpha, alpha) / max(costs))
+
+        def gap_sum(u):
+            return sum(1.0 - invert_share_weight(c * math.exp(u) / alpha,
+                                                 alpha) for c in costs)
+
+        lo, hi = sorted(log_s_max - e for e in d)
+        assert gap_sum(lo) <= gap_sum(hi) + 1e-12
+        assert gap_sum(0.5 * (lo + hi)) <= (
+            0.5 * (gap_sum(lo) + gap_sum(hi)) + 1e-12)
