@@ -1,4 +1,4 @@
-"""Best-response oracles: closed form, FOC bisection, and brute force.
+"""Best-response oracles: closed form, share-weight Newton, and brute force.
 
 Against fixed opponents a miner maximizes prize * x(q) - c * q where
 x(q) = q**alpha / (q**alpha + A) and A is the opponents' aggregate power
@@ -8,7 +8,8 @@ For alpha = 1 the maximizer is max(0, sqrt(prize * R / c) - R). For
 alpha > 1 utility is convex then concave in q, with the crossover exactly
 at share (alpha - 1) / (2 * alpha); the only interior candidate is the
 stationary point on the concave side, which is compared against
-abstaining. The grid oracle is an exhaustive scan kept deliberately
+abstaining; the per-set solve's share-gap kernel finds it (see
+_best_responses). The grid oracle is an exhaustive scan kept deliberately
 independent of both analytic paths.
 
 Prize boundary: the analytic oracles solve the unit-prize game at cost
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .roots import bisect_monotone
 
 #: both-maximizers reporting threshold on the utility gap, a share of prize
 TIE_TOL = 1e-12
@@ -82,18 +81,60 @@ def _best_response(cost: float, alpha: float,
     return best_response_eos(cost, alpha, opposition_power)
 
 
+def _share_gaps(log_targets: list[float], start: list[float], alpha: float,
+                z_end: float) -> tuple[list[float], list[float]]:
+    """Log share gaps z = log(1 - x) with share weight
+    f(x) = x**(1 - 1/alpha) * (1 - x) = t, given log t, on the branch
+    z <= z_end, and their slopes dz/dlog t.
+
+    In z, f(x) = t reads h(z) = z + beta*log(1 - e**z) - log t = 0 with
+    beta = 1 - 1/alpha. h is concave, and increasing up to the peak of f,
+    which z_end must not pass, so Newton from a start at or below the root
+    rises monotonically to it and stops when a step makes no progress.
+    log t is such a start, since f(x) <= 1 - x. A target above the branch
+    maximum stops at z_end. Logs keep a target of 1e-300 from underflowing
+    and need no bracket. Plain floats beat numpy on a set's handful of
+    members.
+    """
+    beta = (alpha - 1.0) / alpha
+    z_one = -math.log(alpha)
+    y_one = math.exp(z_one)
+    gaps, slopes = [], []
+    for log_t, z in zip(log_targets, start):
+        z = min(z, z_end)
+        while True:
+            x = -math.expm1(z)
+            # h'(z) = 1 - beta*y/x = beta + (1/alpha - y)/x: on the
+            # participation branch a sum of two terms >= 0, so it keeps its
+            # digits at that branch end, where it is beta
+            slope = beta - y_one * math.expm1(z - z_one) / x
+            step = min(z - (z + beta * math.log(x) - log_t) / slope, z_end)
+            if not step > z:
+                break
+            z = step
+        gaps.append(z)
+        slopes.append(1.0 / slope)
+    return gaps, slopes
+
+
 def _best_responses(
     costs: np.ndarray, alpha: float, oppositions: np.ndarray
-) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray, np.ndarray]:
     """_best_response for every miner at once, at unit prize: the maximizer
     sets, the best utilities, and the utility of each interior candidate
-    (nan where there is none). A miner facing zero opposition has no best
-    response: an empty set and best utility +inf.
+    and the candidate (nan where there is none). A miner facing zero
+    opposition has no best response: an empty set and best utility +inf.
 
-    Decides exactly as the scalar oracles do. At alpha = 1 the closed form
-    runs on whole arrays. At alpha > 1 the oracle's own abstention test
-    screens every miner, and only the survivors (participants, and the few
-    outsiders with a stationary point) go through best_response_eos.
+    At alpha = 1 the closed form runs on whole arrays. At alpha > 1 the
+    first-order condition alpha*x**(1-1/alpha)*(1-x)**(1+1/alpha) =
+    c*a**(1/alpha), raised to the power alpha/(alpha+1), is f(x) = t at
+    exponent e = (alpha+1)/2, with log t = (alpha*log c + log a -
+    alpha*log alpha)/(alpha+1). f peaks at the convexity crossover
+    x = (alpha-1)/(2*alpha): a target at or above the peak leaves no
+    stationary point on the concave side, and the miner abstains; one
+    _share_gaps call past the peak solves the others. The candidate
+    q = (a*x/(1-x))**(1/alpha) earns x*(1 - alpha*(1 - x)). ValueError
+    when it leaves the float range.
     """
     alone = oppositions == 0.0
     responses: list[tuple[float, ...]] = [(0.0,)] * costs.size
@@ -101,35 +142,42 @@ def _best_responses(
         responses[i] = ()
     best = np.where(alone, np.inf, 0.0)
     interior = np.full(costs.size, np.nan)
+    candidates = np.full(costs.size, np.nan)
     live = np.flatnonzero(~alone)
     c, a = costs[live], oppositions[live]
     if alpha == 1.0:
-        candidate = np.sqrt(a / c) - a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # u is kept only where candidate > 0, so candidate + a > 0
-            u = candidate / (candidate + a) - c * candidate
-        for i, qi, ui in zip(live.tolist(), candidate.tolist(), u.tolist()):
-            if qi > 0.0:
-                responses[i] = (0.0, qi) if ui <= TIE_TOL else (qi,)
-        inside = candidate > 0.0
-        best[live] = np.where(inside, np.maximum(u, 0.0), 0.0)
-        interior[live] = np.where(inside, u, np.nan)
-        return responses, best, interior
-    r = (alpha - 1.0) / (2.0 * alpha)
-    q_lo = (a * r / (1.0 - r)) ** (1.0 / alpha)
-    x = q_lo**alpha / (q_lo**alpha + a)
-    marg = alpha * x * (1.0 - x) / q_lo - c
-    # the margin leaves any last-bit difference between numpy's and the
-    # scalar power to the scalar oracle, which has the final word
-    for k in np.flatnonzero(~(marg <= -1e-12 * c)).tolist():
-        i, cost, opposition = int(live[k]), float(c[k]), float(a[k])
-        result = best_response_eos(cost, alpha, opposition)
-        responses[i] = result.optimal_investments
-        best[i] = result.optimal_utility
-        if result.interior_candidate is not None:
-            interior[i] = _utility_against(result.interior_candidate, cost,
-                                           alpha, opposition)
-    return responses, best, interior
+        q = np.sqrt(a / c) - a
+        inside = q > 0.0
+        live, c, a, q = live[inside], c[inside], a[inside], q[inside]
+        u = q / (q + a) - c * q
+    else:
+        e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
+        z_peak = math.log((alpha + 1.0) / (2.0 * alpha))
+        log_peak = (1.0 - 1.0 / e) * math.log((alpha - 1.0) / (2.0 * alpha))
+        log_a = np.log(a)
+        log_t = (alpha * np.log(c) + log_a - alpha * log_alpha) / (alpha + 1.0)
+        inside = log_t < log_peak + z_peak  # log f at its peak
+        live, log_t = live[inside], log_t[inside].tolist()
+        q, u = [], []
+        for i, la, z in zip(live.tolist(), log_a[inside].tolist(),
+                            _share_gaps(log_t, log_t, e, z_peak)[0]):
+            x = -math.expm1(z)
+            try:
+                q.append(math.exp((la + math.log(x) - z) / alpha))
+            except OverflowError:
+                raise ValueError(
+                    f"best response leaves the float range (cost "
+                    f"{float(costs[i])!r}, opposition power "
+                    f"{float(oppositions[i])!r}, alpha {alpha!r})") from None
+            u.append(-x * math.expm1(z + log_alpha))
+        q, u = np.asarray(q), np.asarray(u)
+    for i, qi, ui in zip(live.tolist(), q.tolist(), u.tolist()):
+        responses[i] = ((qi,) if ui > TIE_TOL
+                        else (0.0, qi) if ui >= -TIE_TOL else (0.0,))
+    best[live] = np.maximum(u, 0.0)
+    interior[live] = u
+    candidates[live] = q
+    return responses, best, interior, candidates
 
 
 def _utility_against(q: float, cost: float, alpha: float,
@@ -175,41 +223,21 @@ def best_response_eos(
 ) -> BestResponseResult:
     """Best response under economies of scale (alpha > 1).
 
-    Finds the stationary point with share >= (alpha-1)/(2*alpha), where
-    utility is strictly concave so marginal utility decreases and bisection
-    applies; returns it, abstention, or both when their utilities tie
+    The stationary point with share beyond the convexity crossover
+    (alpha-1)/(2*alpha), where utility is strictly concave, is the root of
+    one share-weight equation (see _best_responses, of which this is the
+    batch of one); returns it, abstention, or both when their utilities tie
     within 1e-12 of the prize. No stationary point on that branch means
-    abstain.
+    abstain. Raises ValueError when the response leaves the float range.
     """
     if alpha <= 1:
         raise ValueError("use best_response_proportional for alpha = 1")
     _check_inputs(cost, opposition_power, prize)
-    cost = cost / prize
-    a = opposition_power
-
-    def marg(q: float) -> float:
-        x = q**alpha / (q**alpha + a)
-        return alpha * x * (1.0 - x) / q - cost
-
-    r = (alpha - 1.0) / (2.0 * alpha)
-    q_lo = (a * r / (1.0 - r)) ** (1.0 / alpha)  # share exactly r
-    if marg(q_lo) <= 0.0:
-        return BestResponseResult((0.0,), 0.0, None)
-    q_hi = max(1.0 / cost, 2.0 * q_lo)
-    while marg(q_hi) > 0.0:  # alpha > 2 can push the root past 1/cost
-        q_hi *= 2.0
-    # marginal utility is in cost units: a relative bound keeps the
-    # response covariant when costs scale
-    res = bisect_monotone(marg, q_lo, q_hi, f_tol=1e-13 * cost,
-                          x_tol=1e-15 * q_hi, max_iter=200)
-    q_star = res.root
-    u_star = _utility_against(q_star, cost, alpha, a)
-    if u_star > TIE_TOL:
-        return BestResponseResult((q_star,), prize * u_star, q_star)
-    if u_star >= -TIE_TOL:
-        return BestResponseResult((0.0, q_star), prize * max(u_star, 0.0),
-                                  q_star)
-    return BestResponseResult((0.0,), 0.0, q_star)
+    responses, best, _, candidate = _best_responses(
+        np.asarray([cost / prize]), alpha, np.asarray([opposition_power]))
+    q = float(candidate[0])
+    return BestResponseResult(responses[0], prize * float(best[0]),
+                              None if math.isnan(q) else q)
 
 
 def grid_oracle(

@@ -114,48 +114,14 @@ def share_weight(x: float, alpha: float) -> float:
     return x ** (1.0 - 1.0 / alpha) * (1.0 - x)
 
 
-def _member_gaps(log_targets: list[float], start: list[float],
-                 alpha: float) -> tuple[list[float], list[float]]:
-    """Log share gaps z = log(1 - x) of members whose share weights are
-    f(x) = t, given log t, with their slopes dz/dlog t.
-
-    In z, f(x) = t reads h(z) = z + beta*log(1 - e**z) - log t = 0 with
-    beta = 1 - 1/alpha, and the participation branch x >= 1 - 1/alpha is
-    z <= z_max = -log(alpha). There h is concave and increasing, so Newton
-    from a start at or below the root rises monotonically to it and stops
-    when a step makes no progress. log t is such a start, since
-    f(x) <= 1 - x. A target above the branch maximum stops at z_max. Logs
-    keep a target of 1e-300 from underflowing and need no bracket. The
-    members are a handful of floats, so plain floats beat numpy here.
-    """
-    beta = (alpha - 1.0) / alpha
-    z_max = -math.log(alpha)
-    y_max = math.exp(z_max)
-    gaps, slopes = [], []
-    for log_t, z in zip(log_targets, start):
-        z = min(z, z_max)
-        while True:
-            x = -math.expm1(z)
-            # h'(z) = 1 - beta*y/x = beta + (1/alpha - y)/x: a sum of two
-            # terms >= 0, so it keeps its digits at the branch end, where
-            # it is beta
-            slope = beta - y_max * math.expm1(z - z_max) / x
-            step = min(z - (z + beta * math.log(x) - log_t) / slope, z_max)
-            if not step > z:
-                break
-            z = step
-        gaps.append(z)
-        slopes.append(1.0 / slope)
-    return gaps, slopes
-
-
 def invert_share_weight(target: float, alpha: float) -> float:
     """Unique x in [1 - 1/alpha, 1) with f(x) = target.
 
-    One member of the share-gap Newton kernel (_member_gaps), started at
-    log target. A target above the branch maximum f(1 - 1/alpha) is
-    infeasible: no share on the participation branch can carry that
-    weight, so the caller's miner cannot participate at the probed scale.
+    One member of the share-gap Newton kernel (best_response._share_gaps),
+    started at log target. A target above the branch maximum
+    f(1 - 1/alpha) is infeasible: no share on the participation branch can
+    carry that weight, so the caller's miner cannot participate at the
+    probed scale.
     The share is clamped to [1 - 1/alpha, 1 - 1e-16], so a target at or
     below f(1 - 1e-16) gives 1 - 1e-16, the largest float below 1.
     """
@@ -170,7 +136,7 @@ def invert_share_weight(target: float, alpha: float) -> float:
             f"target {target} above branch maximum {f_max}: infeasible"
         )
     log_target = [math.log(target)]
-    z, _ = _member_gaps(log_target, log_target, alpha)
+    z, _ = br._share_gaps(log_target, log_target, alpha, -math.log(alpha))
     return min(max(-math.expm1(z[0]), lo), 1.0 - 1e-16)
 
 
@@ -196,8 +162,8 @@ def verify_equilibrium(
     costs = np.asarray(unit.costs)
     u = unit_utilities(costs, q, shares(unit, q).shares)
     oppositions = br._opposition_powers(q, unit.alpha)
-    responses, best, interior = br._best_responses(costs, unit.alpha,
-                                                   oppositions)
+    responses, best, interior, _ = br._best_responses(costs, unit.alpha,
+                                                      oppositions)
     slack = v * (u - best)
     notes = np.where(oppositions == 0.0, br.ZERO_OPPOSITION, "").tolist()
     verdicts = tuple(map(MinerVerdict._make, zip(
@@ -261,10 +227,11 @@ def solve_for_set(
     costs = [unit.costs[i] for i in s_idx]
     s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
     log_weights = [math.log(c) - math.log(alpha) for c in costs]
+    z_end = -math.log(alpha)  # the participation share 1 - 1/alpha
     u = hi = math.log(s_max)
     lo = hi + math.log(1e-12)
     log_targets = [w + u for w in log_weights]
-    z, dz = _member_gaps(log_targets, log_targets, alpha)
+    z, dz = br._share_gaps(log_targets, log_targets, alpha, z_end)
     gap = math.fsum(map(math.exp, z)) - (len(s_idx) - 1)
     if -gap > SUM_TOL:
         return None  # shares cannot sum down to 1 on the branch
@@ -278,10 +245,10 @@ def solve_for_set(
                 break  # the bracket is down to adjacent floats
         # each z is convex in log t, so its tangent starts below the root
         log_targets = [w + nxt for w in log_weights]
-        z, dz = _member_gaps(
+        z, dz = br._share_gaps(
             log_targets,
             [max(t, a + (nxt - u) * b) for t, a, b in zip(log_targets, z, dz)],
-            alpha)
+            alpha, z_end)
         iterations, u = iterations + 1, nxt
         gap = math.fsum(map(math.exp, z)) - (len(s_idx) - 1)
     s_star = math.exp(u) if iterations else s_max

@@ -2,9 +2,10 @@
 
 Each miner's opposition is summed over a fresh O(n) mask and each best
 response comes from the scalar oracle, one miner at a time: O(n^2) per
-certificate or dynamics round. The per-set solve nests scalar bisections:
-one on the power scale s, and one per member and step to invert the share
-weight f. Kept only as test-time cross-checks.
+certificate or dynamics round. The alpha > 1 best response bisects on the
+marginal utility in q. The per-set solve nests scalar bisections: one on
+the power scale s, and one per member and step to invert the share weight
+f. Kept only as test-time cross-checks.
 """
 
 import math
@@ -25,6 +26,47 @@ def masked_opposition(q: np.ndarray, alpha: float, i: int) -> float:
     if alpha == 1.0:
         return float(q[mask].sum())
     return float((q[mask] ** alpha).sum())
+
+
+def entry_cost(alpha: float, opposition: float) -> float:
+    """The cost at which an outsider's best response starts to have a
+    stationary point: zero marginal utility at the share (alpha-1)/(2 alpha)
+    (alpha > 1), or a zero closed-form candidate (alpha = 1)."""
+    if alpha == 1.0:
+        return 1.0 / opposition
+    r = (alpha - 1.0) / (2.0 * alpha)
+    q_lo = (opposition * r / (1.0 - r)) ** (1.0 / alpha)
+    return alpha * r * (1.0 - r) / q_lo
+
+
+def reference_best_response_eos(cost: float, alpha: float,
+                                 opposition_power: float
+                                 ) -> br.BestResponseResult:
+    """Unit-prize alpha > 1 best response by bisection in q on the marginal
+    utility, which decreases past the share (alpha-1)/(2*alpha), where
+    utility turns concave; no stationary point there means abstain. The
+    upper bracket starts at 1/cost and doubles until it holds the root."""
+    a = opposition_power
+
+    def marg(q: float) -> float:
+        x = q**alpha / (q**alpha + a)
+        return alpha * x * (1.0 - x) / q - cost
+
+    r = (alpha - 1.0) / (2.0 * alpha)
+    q_lo = (a * r / (1.0 - r)) ** (1.0 / alpha)  # share exactly r
+    if marg(q_lo) <= 0.0:
+        return br.BestResponseResult((0.0,), 0.0, None)
+    q_hi = max(1.0 / cost, 2.0 * q_lo)
+    while marg(q_hi) > 0.0:  # alpha > 2 can push the root past 1/cost
+        q_hi *= 2.0
+    q_star = bisect_monotone(marg, q_lo, q_hi, f_tol=1e-13 * cost,
+                             x_tol=1e-15 * q_hi, max_iter=200).root
+    u_star = br._utility_against(q_star, cost, alpha, a)
+    if u_star > br.TIE_TOL:
+        return br.BestResponseResult((q_star,), u_star, q_star)
+    if u_star >= -br.TIE_TOL:
+        return br.BestResponseResult((0.0, q_star), max(0.0, u_star), q_star)
+    return br.BestResponseResult((0.0,), 0.0, q_star)
 
 
 def reference_verify(spec, profile, tol=CERT_TOL,

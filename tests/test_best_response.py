@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from contesteq import (
     convexity_profile,
     grid_oracle,
 )
+from contesteq.best_response import TIE_TOL, _utility_against
+from scalar_oracle import entry_cost, reference_best_response_eos
 
 
 class TestProportionalClosedForm:
@@ -119,6 +122,75 @@ class TestEosBestResponse:
                                                        rel=1e-9, abs=1e-12)
         assert k * max(scaled.optimal_investments) == pytest.approx(
             max(base.optimal_investments), rel=1e-9)
+
+
+def decision(result):
+    """enter, abstain, or both: the maximizer count and whether 0 is one."""
+    maximizers = result.optimal_investments
+    return len(maximizers), maximizers[0] == 0.0
+
+
+class TestAgainstTheBisectionOracle:
+    @settings(max_examples=400)
+    @given(excess=st.floats(-12.0, math.log10(3.0)),
+           cost=st.floats(-3.0, 3.0), opposition=st.floats(-6.0, 6.0))
+    def test_same_decision_and_candidate(self, excess, cost, opposition):
+        """alpha - 1 log-uniform over [1e-12, 3], so alpha > 2 reaches the
+        roots beyond 1/cost; cost and opposition power log-uniform."""
+        alpha, cost, a = 1.0 + 10.0**excess, 10.0**cost, 10.0**opposition
+        fast = best_response_eos(cost, alpha, a)
+        ref = reference_best_response_eos(cost, alpha, a)
+        if abs(cost / entry_cost(alpha, a) - 1.0) > 1e-12:
+            assert (fast.interior_candidate is None) == (
+                ref.interior_candidate is None)
+        if ref.interior_candidate is None:
+            u = -math.inf
+        else:
+            u = _utility_against(ref.interior_candidate, cost, alpha, a)
+        if abs(abs(u) - TIE_TOL) > TIE_TOL:
+            assert decision(fast) == decision(ref), u
+        if None not in (fast.interior_candidate, ref.interior_candidate):
+            assert fast.interior_candidate == pytest.approx(
+                ref.interior_candidate, rel=1e-9)
+
+
+class TestFloatRange:
+    """Finite inputs get an answer or a ValueError naming the range, with
+    no OverflowError and no numpy RuntimeWarning."""
+
+    def test_tiny_cost_takes_the_whole_prize(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = best_response_eos(1e-300, 1.5, 1.0)
+        # at share 1 the first-order condition gives
+        # 1 - x = (cost/alpha)**(alpha/(alpha+1)) * a**(1/(alpha+1)) and
+        # q = (a/(1 - x))**(1/alpha)
+        gap = (1e-300 / 1.5) ** 0.6
+        assert result.optimal_investments == (result.interior_candidate,)
+        assert result.interior_candidate == pytest.approx(gap ** (-1 / 1.5),
+                                                          rel=1e-12)
+        assert result.interior_candidate == pytest.approx(1.176e120,
+                                                          rel=1e-3)
+        assert result.optimal_utility == 1.0
+
+    def test_tiny_cost_against_huge_opposition_answers(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = best_response_eos(1e-300, 1.5, 1e300)
+        log_gap = 0.6 * math.log(1e-300 / 1.5) + 0.4 * math.log(1e300)
+        assert result.optimal_investments == (result.interior_candidate,)
+        assert math.log(result.interior_candidate) == pytest.approx(
+            (math.log(1e300) - log_gap) / 1.5, rel=1e-12)
+        assert result.optimal_utility == 1.0
+
+    def test_response_beyond_the_float_range_is_named(self):
+        # the response is near 1e314: entering wins nearly the whole prize,
+        # so abstaining is no answer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="best response leaves the "
+                               "float range"):
+                best_response_eos(5e-324, 1.01, 1e308)
 
 
 class TestGridOracle:

@@ -113,6 +113,16 @@ class TestFloatRange:
                 run_dynamics(ContestSpec((1.0, 1.0), alpha=1.5),
                              DynamicsConfig((1e300, 1e300)))
 
+    def test_tiny_cost_returns_a_status(self):
+        # miner 0 answers 1.18e120, miner 1 then abstains, and miner 0
+        # faces zero opposition: no best response, so no equilibrium
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = run_dynamics(ContestSpec((1e-300, 1.0), alpha=1.5),
+                             DynamicsConfig((1.0, 1.0)))
+        assert (t.status, t.rounds_used) == ("cycle_detected", 2)
+        assert t.terminal[1] == 0.0
+
 
 class TestEosDynamics:
     def test_pair_converges_to_interior_equilibrium(self):

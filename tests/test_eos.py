@@ -238,7 +238,7 @@ def in_certification_band(spec, eq):
         return True
     unit = unit_prize(spec)
     q = np.asarray(eq.investments)
-    _, _, interior = br._best_responses(
+    _, _, interior, _ = br._best_responses(
         np.asarray(unit.costs), unit.alpha,
         br._opposition_powers(q, unit.alpha))
     return bool(np.any(np.abs(np.abs(interior) - 1e-9) <= BAND))

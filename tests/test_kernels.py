@@ -17,7 +17,8 @@ from contesteq import (
 )
 from contesteq import best_response as br
 from contesteq.core import unit_prize
-from scalar_oracle import (masked_opposition, reference_dynamics,
+from scalar_oracle import (entry_cost, masked_opposition,
+                           reference_best_response_eos, reference_dynamics,
                            reference_verify)
 
 EPS = np.finfo(float).eps
@@ -32,17 +33,6 @@ EDGE_GAPS = [10.0**-k for k in range(1, 17)]
 
 alphas = st.one_of(st.just(1.0),
                    st.floats(1.0, 2.5, exclude_min=True, allow_nan=False))
-
-
-def entry_cost(alpha, opposition):
-    """The cost at which an outsider's best response starts to have a
-    stationary point: zero marginal utility at the share (alpha-1)/(2 alpha)
-    (alpha > 1), or a zero closed-form candidate (alpha = 1)."""
-    if alpha == 1.0:
-        return 1.0 / opposition
-    r = (alpha - 1.0) / (2.0 * alpha)
-    q_lo = (opposition * r / (1.0 - r)) ** (1.0 / alpha)
-    return alpha * r * (1.0 - r) / q_lo
 
 
 @st.composite
@@ -129,14 +119,20 @@ class TestVectorisedCertification:
     @settings(max_examples=150)
     @given(certification_cases())
     def test_best_responses_match_the_scalar_oracle(self, case):
-        """Maximizers, best utility and interior utility of every miner,
-        so the alpha > 1 screen must keep every stationary point."""
+        """Every miner's lane of the vectorised pass is exactly its batch of
+        one, which is the scalar oracle: maximizers, best utility, interior
+        utility and candidate, so no screen may drop a stationary point."""
         spec, q = case
         costs = np.asarray(unit_prize(spec).costs)
         opposition = br._opposition_powers(q, spec.alpha)
-        responses, best, interior = br._best_responses(costs, spec.alpha,
-                                                       opposition)
+        responses, best, interior, candidates = br._best_responses(
+            costs, spec.alpha, opposition)
         for i, a in enumerate(opposition.tolist()):
+            one = br._best_responses(costs[i:i + 1], spec.alpha,
+                                     opposition[i:i + 1])
+            assert responses[i] == one[0][0]
+            assert np.array_equal([best[i], interior[i], candidates[i]],
+                                  [v[0] for v in one[1:]], equal_nan=True)
             if a == 0.0:
                 assert (responses[i], best[i]) == ((), math.inf)
                 continue
@@ -145,10 +141,9 @@ class TestVectorisedCertification:
             assert best[i] == result.optimal_utility
             candidate = result.interior_candidate
             if candidate is None:
-                assert math.isnan(interior[i])
+                assert math.isnan(candidates[i])
             else:
-                assert interior[i] == br._utility_against(
-                    candidate, float(costs[i]), spec.alpha, a)
+                assert candidates[i] == candidate
 
     @pytest.mark.parametrize("alpha", [1.0, 1.05, 1.5, 2.0, 2.5])
     def test_outsiders_around_the_entry_cost(self, alpha):
@@ -157,13 +152,17 @@ class TestVectorisedCertification:
         edge = entry_cost(alpha, opposition)
         for gap in [0.0] + EDGE_GAPS:
             for cost in (edge * (1.0 - gap), edge * (1.0 + gap)):
-                responses, best, interior = br._best_responses(
+                responses, best, interior, _ = br._best_responses(
                     np.asarray([cost]), alpha, np.asarray([opposition]))
                 result = br._best_response(cost, alpha, opposition)
                 assert responses[0] == result.optimal_investments
                 assert best[0] == result.optimal_utility
                 assert math.isnan(interior[0]) == (
                     result.interior_candidate is None), (gap, cost)
+                if alpha > 1.0 and gap > 1e-12:
+                    ref = reference_best_response_eos(cost, alpha, opposition)
+                    assert math.isnan(interior[0]) == (
+                        ref.interior_candidate is None), (gap, cost)
 
     @settings(max_examples=150)
     @given(certification_cases())
