@@ -68,9 +68,15 @@ def _powers(q, alpha: float):
 def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
     """sum_{j != i} q_j**alpha for every miner i, the power each competes
     against, in O(n) from exclusive prefix and suffix sums. Total minus
-    own would cancel when one miner holds nearly all the power."""
+    own would cancel when one miner holds nearly all the power. ValueError
+    when a power or the aggregate power leaves the float range."""
     power = _powers(q, alpha)
-    return _sums_after(power[::-1])[::-1] + _sums_after(power)
+    with np.errstate(over="ignore"):
+        opposition = _sums_after(power[::-1])[::-1] + _sums_after(power)
+        if np.isinf(opposition + power).any():  # each entry is the total
+            raise ValueError(f"aggregate power leaves the float range (up "
+                             f"to {float(np.max(q))!r}, alpha {alpha!r})")
+    return opposition
 
 
 def _best_response(cost: float, alpha: float,

@@ -7,7 +7,8 @@ result documents are JSON; sweep and trajectory output is CSV. Exit codes:
 CONTEST_EQ_TOL overrides the default certification tolerance of 1e-9.
 
 Prize boundary: the library entry points map a scenario to the unit-prize
-game themselves; best-response does it here, so all tolerances, the
+game themselves; solve's utilities and best-response take the unit-prize
+costs c_i / prize from core.unit_costs here, so all tolerances, the
 oracle's 1e-8 included, are shares of the prize.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import best_response as br
 from . import eos, proportional
-from .core import ContestSpec, concentration, unit_prize, unit_utilities
+from .core import ContestSpec, concentration, unit_costs, unit_utilities
 from .dynamics import DynamicsConfig, run_dynamics
 
 SCHEMA_VERSION = 1
@@ -198,7 +199,7 @@ def cmd_solve(args) -> int:
             "investments": list(eq.investments),
             "shares": list(eq.shares),
             "utilities": (spec.prize * unit_utilities(
-                unit_prize(spec).costs, eq.investments, eq.shares)).tolist(),
+                unit_costs(spec), eq.investments, eq.shares)).tolist(),
             "total_investment": eq.total_investment,
             "concentration": _concentration_block(spec, eq.investments),
         }
@@ -407,7 +408,7 @@ def cmd_best_response(args) -> int:
         if not 0 <= miner < spec.n:
             raise ScenarioError(f"--miner index {miner} out of range")
     opposition = float(br._opposition_powers(q, spec.alpha)[miner])
-    cost = unit_prize(spec).costs[miner]
+    cost = float(unit_costs(spec)[miner])
     try:
         result = br._best_response(cost, spec.alpha, opposition)
     except br.NoBestResponse as exc:

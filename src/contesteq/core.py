@@ -114,27 +114,28 @@ def shares(spec: ContestSpec, profile: ProfileLike) -> MarketShares:
     )
 
 
-def unit_prize(spec: ContestSpec) -> ContestSpec:
-    """The same game at prize 1 (costs c_i / prize): investments and shares
-    are unchanged and utilities divide by the prize. Returns spec itself
-    when its prize is 1. Raises ValueError when some c_i / prize overflows
-    or underflows to 0, since the unit-prize game then has no finite,
-    positive costs."""
-    if spec.prize == 1.0:
-        return spec
-    costs = tuple(c / spec.prize for c in spec.costs)
-    if not all(0.0 < c < math.inf for c in costs):
+def unit_costs(spec: ContestSpec) -> np.ndarray:
+    """Costs c_i / prize of the same game at prize 1, where investments and
+    shares are unchanged and utilities divide by the prize. ValueError when
+    a quotient overflows or underflows to 0: the unit-prize game then has
+    no finite, positive costs (division is monotone, so the extremes
+    decide)."""
+    with np.errstate(over="ignore", under="ignore"):
+        costs = np.asarray(spec.costs) / spec.prize
+    if not (costs.min() > 0.0 and costs.max() < math.inf):
         raise ValueError(
             f"costs / prize leaves the float range of the unit-prize game "
             f"(prize {spec.prize!r}, costs from {min(spec.costs)!r} to "
             f"{max(spec.costs)!r})"
         )
-    return ContestSpec(costs, spec.alpha)
+    return costs
 
 
 def unit_utilities(costs, q, x) -> np.ndarray:
-    """x_i - c_i * q_i: unit-prize utilities at costs c and shares x."""
-    return np.asarray(x) - np.asarray(costs) * np.asarray(q)
+    """x_i - c_i * q_i: unit-prize utilities at costs c and shares x. A
+    spend beyond the float range is a utility of -inf."""
+    with np.errstate(over="ignore"):
+        return np.asarray(x) - np.asarray(costs) * np.asarray(q)
 
 
 def utility(spec: ContestSpec, profile: ProfileLike, i: int) -> float:

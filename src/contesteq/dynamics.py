@@ -16,9 +16,10 @@ an earlier round's profile is a cycle too. Neither rule is in investment
 units: costs x k give the same run with profiles / k. Nothing here claims
 convergence in general; statuses report what happened.
 
-Prize boundary: run_dynamics maps its spec to the unit-prize game once and
-updates with the prize-free kernels of best_response, so its checks are
-relative to the prize; Trajectory.rows() reports utilities in caller units.
+Prize boundary: run_dynamics takes the unit-prize costs from
+core.unit_costs once and updates with the prize-free kernels of
+best_response, so its checks are relative to the prize; Trajectory.rows()
+reports utilities in caller units.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import best_response as br
-from .core import (ContestSpec, as_investments, shares, unit_prize,
+from .core import (ContestSpec, as_investments, shares, unit_costs,
                    unit_utilities)
 from .eos import CERT_TOL, EquilibriumCertificate, verify_equilibrium
 
@@ -70,10 +71,10 @@ class Trajectory:
         """(round, miner, investment, share, utility) rows for CSV export,
         utilities in caller units; round 1 is the state after the first
         full update sweep."""
-        unit = unit_prize(self.spec)
+        costs = unit_costs(self.spec)
         for rnd, profile in enumerate(self.profiles[1:], start=1):
-            x = shares(unit, profile).shares
-            u = self.spec.prize * unit_utilities(unit.costs, profile, x)
+            x = shares(self.spec, profile).shares
+            u = self.spec.prize * unit_utilities(costs, profile, x)
             for miner, q in enumerate(profile):
                 yield rnd, miner, q, x[miner], float(u[miner])
 
@@ -91,13 +92,11 @@ def run_dynamics(
     updating miner's utility by more than 1e-12 of the prize raises
     ArithmeticError: exact best responses never do.
     """
-    unit = unit_prize(spec)
-    alpha = unit.alpha
-    costs = np.asarray(unit.costs)
-    q = as_investments(unit, config.initial_profile)
+    costs, alpha = unit_costs(spec), spec.alpha
+    q = as_investments(spec, config.initial_profile)
     if not np.any(q > 0):
         raise ValueError("initial profile must have a positive investment")
-    q = q.copy()
+    br._opposition_powers(q, alpha)  # ValueError if no finite aggregate
     snapshots = [tuple(q.tolist())]
     seen = {(q + 0.0).tobytes()}  # + 0.0 folds -0.0 into 0.0
     status = "max_rounds_exhausted"
@@ -109,7 +108,7 @@ def run_dynamics(
         # of the round's profile, O(1) per update with nothing cancelled
         before = 0.0
         after = br._sums_after(br._powers(q, alpha)).tolist()
-        for i, cost in enumerate(unit.costs):
+        for i, cost in enumerate(costs.tolist()):
             opposition = before + after[i]
             qi = float(q[i])
             if opposition != 0.0:  # else no best response: keep the incumbent

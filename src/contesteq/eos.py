@@ -16,11 +16,11 @@ nails the unique candidate for S. Candidates are then certified
 miner-by-miner against the exact best-response oracle; only certified
 profiles are equilibria.
 
-Prize boundary: verify_equilibrium and solve_for_set map their spec to the
-unit-prize game once, on entry, and work on it with prize-free kernels, so
-every tolerance is relative to the prize; reported utilities and slacks
-are multiplied by the prize on the way out. enumerate_equilibria computes
-nothing that depends on the prize and leaves the map to those two.
+Prize boundary: verify_equilibrium and solve_for_set take the unit-prize
+costs c_i / prize from core.unit_costs once, on entry, and work on them
+with prize-free kernels, so every tolerance is relative to the prize;
+reported utilities and slacks are multiplied by the prize on the way out.
+enumerate_equilibria leaves the map to those two.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import best_response as br
 from .core import (ContestSpec, ProfileLike, as_investments, shares,
-                   unit_prize, unit_utilities)
+                   unit_costs, unit_utilities)
 
 #: default certification tolerance on per-miner utility slack (x prize)
 CERT_TOL = 1e-9
@@ -157,12 +157,11 @@ def verify_equilibrium(
     O(n): every opposition comes from one prefix/suffix-sum pass, and the
     best responses from one vectorised pass (see best_response).
     """
-    unit, v = unit_prize(spec), spec.prize
-    q = as_investments(unit, profile)
-    costs = np.asarray(unit.costs)
-    u = unit_utilities(costs, q, shares(unit, q).shares)
-    oppositions = br._opposition_powers(q, unit.alpha)
-    responses, best, interior, _ = br._best_responses(costs, unit.alpha,
+    costs, v = unit_costs(spec), spec.prize
+    q = as_investments(spec, profile)
+    oppositions = br._opposition_powers(q, spec.alpha)
+    u = unit_utilities(costs, q, shares(spec, q).shares)
+    responses, best, interior, _ = br._best_responses(costs, spec.alpha,
                                                       oppositions)
     slack = v * (u - best)
     notes = np.where(oppositions == 0.0, br.ZERO_OPPOSITION, "").tolist()
@@ -221,10 +220,9 @@ def solve_for_set(
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
-    unit = unit_prize(spec)
-    s_idx = _validate_set(unit, participant_set)
-    alpha = unit.alpha
-    costs = [unit.costs[i] for i in s_idx]
+    unit, s_idx = unit_costs(spec), _validate_set(spec, participant_set)
+    alpha = spec.alpha
+    costs = unit[list(s_idx)].tolist()
     s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
     log_weights = [math.log(c) - math.log(alpha) for c in costs]
     z_end = -math.log(alpha)  # the participation share 1 - 1/alpha
@@ -252,26 +250,16 @@ def solve_for_set(
         iterations, u = iterations + 1, nxt
         gap = math.fsum(map(math.exp, z)) - (len(s_idx) - 1)
     s_star = math.exp(u) if iterations else s_max
-    q = np.zeros(unit.n)
+    q = np.zeros(spec.n)
     q[list(s_idx)] = (-np.expm1(z)) ** (1.0 / alpha) * s_star
     return EosEquilibrium(
         participants=s_idx,
         investments=tuple(q.tolist()),
-        shares=shares(unit, q).shares,
+        shares=shares(spec, q).shares,
         power_scale=float(s_star),
         certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations,
         residual=abs(gap),
-    )
-
-
-def _ratio_prune(costs: np.ndarray, alpha: float) -> bool:
-    """Necessary condition from the pairwise share bound plus the share
-    budget: all pairwise cost ratios in the set must satisfy
-    c_min/c_max >= (|S|-1)(alpha-1). False means the set can be skipped."""
-    k = costs.size
-    return float(costs.min()) / float(costs.max()) >= (
-        (k - 1) * (alpha - 1.0) * (1.0 - 1e-12)
     )
 
 
@@ -306,8 +294,11 @@ def enumerate_equilibria(spec: ContestSpec,
     whole game is invariant under relabelling equal-cost miners, only one
     representative per cost multiset is solved and certified; certified
     representatives are relabelled onto every index subset with that
-    multiset, which certifies each copy by symmetry. alpha > 2 yields an
-    empty list (the cap drops below 2); absence is reported, not proven.
+    multiset, which certifies each copy by symmetry. Sets with
+    c_min/c_max < (k - 1)(alpha - 1) have shares above 1 at s_max and are
+    skipped: near alpha = 1 that excess is below SUM_TOL, so solve_for_set
+    could not reject them itself. alpha > 2 yields an empty list (the cap
+    drops below 2); absence is reported, not proven.
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
@@ -318,11 +309,11 @@ def enumerate_equilibria(spec: ContestSpec,
     out: list[EosEquilibrium] = []
     solved: dict[tuple[float, ...], Optional[EosEquilibrium]] = {}
     for k in range(2, min(cap, spec.n) + 1):
+        floor = (k - 1) * (spec.alpha - 1.0) * (1.0 - 1e-12)
         for subset in combinations(range(spec.n), k):
-            costs = np.asarray([spec.costs[i] for i in subset])
-            if not _ratio_prune(costs, spec.alpha):
+            key = tuple(sorted([spec.costs[i] for i in subset]))
+            if key[0] / key[-1] < floor:
                 continue
-            key = tuple(sorted(costs.tolist()))
             if key not in solved:
                 solved[key] = solve_for_set(spec, subset, tol)
             rep = solved[key]

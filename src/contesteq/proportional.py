@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ContestSpec, ProfileLike, as_investments, shares,
-                   unit_prize)
+                   unit_costs)
 from .roots import bisect_monotone
 
 
@@ -103,7 +103,7 @@ def solve_equilibrium(spec: ContestSpec) -> ProportionalEquilibrium:
         raise ValueError(
             "proportional solver requires alpha = 1; use the eos module"
         )
-    effective = np.asarray(unit_prize(spec).costs)
+    effective = unit_costs(spec)
     c_star = solve_threshold(effective)
     x = np.maximum(1.0 - effective / c_star, 0.0)
     q = x / c_star

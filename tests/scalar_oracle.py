@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from contesteq import best_response as br
-from contesteq.core import as_investments, shares, unit_prize, unit_utilities
+from contesteq.core import as_investments, shares, unit_costs, unit_utilities
 from contesteq.eos import (CERT_TOL, SUM_TOL, EosEquilibrium,
                            EquilibriumCertificate, MinerVerdict, _validate_set,
                            share_weight, verify_equilibrium)
@@ -74,14 +74,14 @@ def reference_verify(spec, profile, tol=CERT_TOL,
     """verify_equilibrium miner by miner: opposition(q, alpha, i), then the
     scalar oracle; marginal when the interior candidate's unit-prize
     utility is within 1e-9 of abstaining."""
-    unit, v = unit_prize(spec), spec.prize
-    q = as_investments(unit, profile)
-    u = unit_utilities(unit.costs, q, shares(unit, q).shares).tolist()
+    costs, v = unit_costs(spec).tolist(), spec.prize
+    q = as_investments(spec, profile)
+    u = unit_utilities(costs, q, shares(spec, q).shares).tolist()
     verdicts = []
-    for i, cost in enumerate(unit.costs):
-        a = opposition(q, unit.alpha, i)
+    for i, cost in enumerate(costs):
+        a = opposition(q, spec.alpha, i)
         try:
-            result = br._best_response(cost, unit.alpha, a)
+            result = br._best_response(cost, spec.alpha, a)
         except br.NoBestResponse as exc:
             verdicts.append(MinerVerdict(
                 miner=i, investment=float(q[i]), utility=v * u[i],
@@ -95,7 +95,7 @@ def reference_verify(spec, profile, tol=CERT_TOL,
             best_utility=v * best, slack=v * (u[i] - best),
             best_responses=result.optimal_investments,
             marginal=(candidate is not None and abs(br._utility_against(
-                candidate, cost, unit.alpha, a)) <= 1e-9),
+                candidate, cost, spec.alpha, a)) <= 1e-9),
         ))
     certified = all(verdict.slack >= -tol * v for verdict in verdicts)
     return EquilibriumCertificate(
@@ -105,20 +105,20 @@ def reference_verify(spec, profile, tol=CERT_TOL,
 def reference_dynamics(spec, config, verify_tol=CERT_TOL):
     """run_dynamics with a masked opposition per update; returns the
     status and the terminal profile."""
-    unit = unit_prize(spec)
-    q = as_investments(unit, config.initial_profile).copy()
+    costs = unit_costs(spec).tolist()
+    q = as_investments(spec, config.initial_profile).copy()
     seen = {tuple(q.tolist())}  # tuples compare -0.0 equal to 0.0
     for _ in range(config.max_rounds):
         previous = q.copy()
-        for i, cost in enumerate(unit.costs):
-            a = masked_opposition(q, unit.alpha, i)
+        for i, cost in enumerate(costs):
+            a = masked_opposition(q, spec.alpha, i)
             if a == 0.0:
                 continue
-            result = br._best_response(cost, unit.alpha, a)
+            result = br._best_response(cost, spec.alpha, a)
             q[i] = min(result.optimal_investments,
                        key=lambda m: (abs(m - q[i]), m))
         spend = max(c * abs(new - old)
-                    for c, new, old in zip(unit.costs, q, previous))
+                    for c, new, old in zip(costs, q, previous))
         if spend <= config.convergence_tol:
             certified = verify_equilibrium(spec, q, verify_tol).certified
             return ("converged" if certified else "cycle_detected"), q
@@ -149,10 +149,9 @@ def reference_solve_for_set(spec, participant_set, tol=CERT_TOL):
     """solve_for_set by bisection on s over [1e-12 * s_max, s_max] to
     |share sum - 1| <= SUM_TOL, inverting f member by member at every
     step."""
-    unit = unit_prize(spec)
-    s_idx = _validate_set(unit, participant_set)
-    alpha = unit.alpha
-    costs = [unit.costs[i] for i in s_idx]
+    s_idx = _validate_set(spec, participant_set)
+    alpha = spec.alpha
+    costs = unit_costs(spec)[list(s_idx)].tolist()
     s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
 
     def member_shares(s):
@@ -171,10 +170,10 @@ def reference_solve_for_set(spec, participant_set, tol=CERT_TOL):
                               f_tol=SUM_TOL, max_iter=200)
         s_star, residual, iterations = (res.root, abs(res.residual),
                                         res.iterations)
-    q = np.zeros(unit.n)
+    q = np.zeros(spec.n)
     q[list(s_idx)] = np.asarray(member_shares(s_star)) ** (1.0 / alpha) * s_star
     return EosEquilibrium(
         participants=s_idx, investments=tuple(q.tolist()),
-        shares=shares(unit, q).shares, power_scale=float(s_star),
+        shares=shares(spec, q).shares, power_scale=float(s_star),
         certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations, residual=float(residual))

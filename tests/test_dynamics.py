@@ -113,6 +113,15 @@ class TestFloatRange:
                 run_dynamics(ContestSpec((1.0, 1.0), alpha=1.5),
                              DynamicsConfig((1e300, 1e300)))
 
+    def test_overflowing_aggregate_power_is_named(self):
+        # every investment is finite, their sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="aggregate power leaves "
+                               "the float range"):
+                run_dynamics(ContestSpec((1.0,) * 3),
+                             DynamicsConfig((1e308,) * 3))
+
     def test_tiny_cost_returns_a_status(self):
         # miner 0 answers 1.18e120, miner 1 then abstains, and miner 0
         # faces zero opposition: no best response, so no equilibrium

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from contesteq import (
     ContestSpec,
@@ -26,7 +26,7 @@ from contesteq import (
 from contesteq import best_response as br
 from contesteq import eos
 from contesteq.best_response import _utility_against
-from contesteq.core import unit_prize
+from contesteq.core import unit_costs
 from scalar_oracle import (reference_invert_share_weight,
                            reference_solve_for_set)
 
@@ -220,9 +220,8 @@ def set_specs(draw, max_n=6):
 def in_none_band(spec, participants):
     """Whether sum x - 1 at s_max, the quantity solve_for_set compares with
     SUM_TOL to return None, lies within BAND of it."""
-    unit = unit_prize(spec)
-    alpha = unit.alpha
-    costs = [unit.costs[i] for i in participants]
+    alpha = spec.alpha
+    costs = unit_costs(spec)[list(participants)].tolist()
     s_max = alpha * share_weight(1 - 1 / alpha, alpha) / max(costs)
     end = sum(reference_invert_share_weight(c * s_max / alpha, alpha)
               for c in costs) - 1.0
@@ -236,11 +235,10 @@ def in_certification_band(spec, eq):
     cert, v = eq.certificate, spec.prize
     if abs(cert.worst_slack + cert.tolerance * v) <= BAND * v:
         return True
-    unit = unit_prize(spec)
     q = np.asarray(eq.investments)
     _, _, interior, _ = br._best_responses(
-        np.asarray(unit.costs), unit.alpha,
-        br._opposition_powers(q, unit.alpha))
+        unit_costs(spec), spec.alpha,
+        br._opposition_powers(q, spec.alpha))
     return bool(np.any(np.abs(np.abs(interior) - 1e-9) <= BAND))
 
 
@@ -343,6 +341,43 @@ class TestAlphaJustAboveOne:
     def test_enumerate_returns_a_list(self, costs):
         assert isinstance(
             enumerate_equilibria(ContestSpec(costs, alpha=ALPHA_ULP)), list)
+
+
+class TestCostRatioBound:
+    """A set with c_min/c_max < (k - 1)(alpha - 1) cannot participate: the
+    cheapest member's gap at s_max is below (k - 1)(1 - 1/alpha), the
+    others hold at least 1 - 1/alpha each, so the shares exceed 1 there.
+    The excess shrinks like (alpha - 1)**2 * |log(alpha - 1)|, so below
+    alpha - 1 of about 1e-7 SUM_TOL absorbs it, and enumerate_equilibria
+    skips such sets before solving."""
+
+    @settings(max_examples=300)
+    @given(alpha=log_uniform(1e-6, 1.0).map(lambda d: 1.0 + d),
+           data=st.data())
+    def test_sets_below_the_bound_return_none(self, alpha, data):
+        k = data.draw(st.integers(2, min(6, participation_cap(alpha))))
+        bound = (k - 1) * (alpha - 1.0) * (1.0 - 1e-12)
+        # just under the bound, or anywhere below it
+        shortfall = data.draw(st.one_of(log_uniform(1e-15, 1e-6),
+                                        st.floats(0.0, 1.0)))
+        c_max = data.draw(log_uniform(1e-3, 1e3))
+        c_min = c_max * bound * (1.0 - shortfall)
+        assume(0.0 < c_min and c_min / c_max < bound)
+        between = [c_min + (c_max - c_min) * data.draw(st.floats(0.0, 1.0))
+                   for _ in range(k - 2)]
+        costs = data.draw(st.permutations([c_min, c_max, *between]))
+        prize = data.draw(log_uniform(2.0**-6, 2.0**6))
+        spec = ContestSpec(tuple(costs), alpha, prize)
+        assert min(spec.costs) / max(spec.costs) < bound
+        assert solve_for_set(spec, range(k)) is None
+
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-15, 1.0 + 1e-13])
+    def test_sets_below_the_bound_near_alpha_one_are_skipped(self, alpha):
+        # half the bound: the shares at s_max exceed 1 by less than
+        # SUM_TOL, so solve_for_set alone may return a pair that certifies
+        # within 1e-9; the skip keeps it out
+        spec = ContestSpec((0.5 * (alpha - 1.0), 1.0), alpha)
+        assert enumerate_equilibria(spec) == []
 
 
 @st.composite

@@ -16,7 +16,7 @@ from contesteq import (
     verify_equilibrium,
 )
 from contesteq import best_response as br
-from contesteq.core import unit_prize
+from contesteq.core import unit_costs
 from scalar_oracle import (entry_cost, masked_opposition,
                            reference_best_response_eos, reference_dynamics,
                            reference_verify)
@@ -123,7 +123,7 @@ class TestVectorisedCertification:
         one, which is the scalar oracle: maximizers, best utility, interior
         utility and candidate, so no screen may drop a stationary point."""
         spec, q = case
-        costs = np.asarray(unit_prize(spec).costs)
+        costs = unit_costs(spec)
         opposition = br._opposition_powers(q, spec.alpha)
         responses, best, interior, candidates = br._best_responses(
             costs, spec.alpha, opposition)

@@ -23,8 +23,10 @@ from contesteq import (
     solve_equilibrium,
     verify_equilibrium,
 )
+from contesteq.core import unit_costs
 
 HARMONIC10 = tuple(i / (i + 1) for i in range(1, 11))
+UNIT_GAME_RANGE = "costs / prize leaves the float range of the unit-prize game"
 DETERRENCE = (math.sqrt(0.5), 1.0, 1.0, 1.0)
 
 
@@ -86,10 +88,17 @@ class TestRegressions:
         spec = ContestSpec((1e300, 2e300, 3e300), alpha=alpha, prize=1e-10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning either
-            with pytest.raises(ValueError, match="costs / prize leaves the "
-                               "float range of the unit-prize game"):
+            with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
                 solve(spec)
 
+    def test_cost_over_prize_underflow_names_the_unit_game(self):
+        spec = ContestSpec((1e-300, 1.0), prize=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
+                unit_costs(spec)
+            with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
+                solve_equilibrium(spec)
 
     def test_overflowing_power_is_named_by_verify(self):
         spec = ContestSpec((1.0, 1.0), alpha=1.5)
@@ -97,6 +106,28 @@ class TestRegressions:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leave the float range"):
                 verify_equilibrium(spec, (1e300, 1e300))
+
+    def test_overflowing_spend_is_not_certified_with_slack_minus_inf(self):
+        # 10 * 1e308 is no float: the spend is a utility of -inf, a
+        # representable answer, so verify returns it without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = verify_equilibrium(ContestSpec((10.0, 10.0)),
+                                      (0.0, 1e308))
+        assert not cert.certified
+        assert cert.worst_slack == -math.inf
+        assert cert.verdicts[1].utility == -math.inf
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_overflowing_aggregate_power_is_named_by_verify(self, alpha):
+        # every q**alpha is finite, their sum is not
+        spec = ContestSpec((1.0,) * 3, alpha=alpha)
+        q = (1e308,) * 3 if alpha == 1.0 else (2e205,) * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="aggregate power leaves "
+                               "the float range"):
+                verify_equilibrium(spec, q)
 
     @pytest.mark.parametrize("prize", [1.0, 1e9, 1e12])
     def test_profile_5_percent_off_rejected_at_prize_1e12(self, prize):
@@ -110,6 +141,25 @@ class TestRegressions:
         assert not cert.certified
         assert cert.worst_slack == pytest.approx(-4.6185e-4 * prize,
                                                  rel=1e-4)
+
+
+floats_1e300 = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+class TestUnitCosts:
+    @settings(max_examples=300)
+    @given(costs=st.lists(floats_1e300, min_size=2, max_size=6),
+           prize=floats_1e300)
+    def test_is_python_division_or_names_the_range(self, costs, prize):
+        spec = ContestSpec(tuple(costs), prize=prize)
+        quotients = [c / prize for c in spec.costs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if all(0.0 < c < math.inf for c in quotients):
+                assert unit_costs(spec).tolist() == quotients
+            else:
+                with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
+                    unit_costs(spec)
 
 
 class TestCostScale:
