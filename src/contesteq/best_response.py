@@ -27,8 +27,12 @@ from typing import Optional
 
 import numpy as np
 
+from .core import unit_range_error
+
 #: both-maximizers reporting threshold on the utility gap, a share of prize
 TIE_TOL = 1e-12
+#: smallest normal float: a quotient below it has lost digits
+_TINY = float(np.finfo(float).tiny)
 ZERO_OPPOSITION = "zero opposition: no best response exists"
 
 
@@ -77,6 +81,13 @@ def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
             raise ValueError(f"aggregate power leaves the float range (up "
                              f"to {float(np.max(q))!r}, alpha {alpha!r})")
     return opposition
+
+
+def _beyond_range(cost: float, opposition_power: float,
+                  alpha: float) -> ValueError:
+    return ValueError(f"best response leaves the float range (cost "
+                      f"{cost!r}, opposition power {opposition_power!r}, "
+                      f"alpha {alpha!r})")
 
 
 def _best_response(cost: float, alpha: float,
@@ -131,7 +142,9 @@ def _best_responses(
     and the candidate (nan where there is none). A miner facing zero
     opposition has no best response: an empty set and best utility +inf.
 
-    At alpha = 1 the closed form runs on whole arrays. At alpha > 1 the
+    At alpha = 1 the closed form runs on whole arrays; where a / c is no
+    normal float, sqrt(a / c) is taken as sqrt(a) / sqrt(c), which keeps
+    its digits, as in best_response_proportional. At alpha > 1 the
     first-order condition alpha*x**(1-1/alpha)*(1-x)**(1+1/alpha) =
     c*a**(1/alpha), raised to the power alpha/(alpha+1), is f(x) = t at
     exponent e = (alpha+1)/2, with log t = (alpha*log c + log a -
@@ -152,9 +165,16 @@ def _best_responses(
     live = np.flatnonzero(~alone)
     c, a = costs[live], oppositions[live]
     if alpha == 1.0:
-        q = np.sqrt(a / c) - a
+        with np.errstate(over="ignore"):  # an inf root is named below
+            ratio = a / c
+            root = np.sqrt(ratio)
+            wide = ~((ratio >= _TINY) & (ratio < math.inf))
+            root[wide] = np.sqrt(a[wide]) / np.sqrt(c[wide])
+        q = root - a
         inside = q > 0.0
         live, c, a, q = live[inside], c[inside], a[inside], q[inside]
+        for i in live[q == math.inf].tolist()[:1]:
+            raise _beyond_range(float(costs[i]), float(oppositions[i]), alpha)
         u = q / (q + a) - c * q
     else:
         e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
@@ -171,10 +191,8 @@ def _best_responses(
             try:
                 q.append(math.exp((la + math.log(x) - z) / alpha))
             except OverflowError:
-                raise ValueError(
-                    f"best response leaves the float range (cost "
-                    f"{float(costs[i])!r}, opposition power "
-                    f"{float(oppositions[i])!r}, alpha {alpha!r})") from None
+                raise _beyond_range(float(costs[i]), float(oppositions[i]),
+                                    alpha) from None
             u.append(-x * math.expm1(z + log_alpha))
         q, u = np.asarray(q), np.asarray(u)
     for i, qi, ui in zip(live.tolist(), q.tolist(), u.tolist()):
@@ -195,13 +213,19 @@ def _utility_against(q: float, cost: float, alpha: float,
     return x - cost * q
 
 
-def _check_inputs(cost: float, opposition: float, prize: float) -> None:
+def _check_inputs(cost: float, opposition: float, prize: float) -> float:
+    """The unit-prize cost cost / prize of checked inputs; the ValueError
+    of core.unit_costs when it leaves the float range."""
     if cost <= 0 or prize <= 0:
         raise ValueError("cost and prize must be positive")
     if opposition < 0:
         raise ValueError("opposition must be >= 0")
     if opposition == 0.0:
         raise NoBestResponse(ZERO_OPPOSITION)
+    unit = cost / prize
+    if not 0.0 < unit < math.inf:
+        raise unit_range_error(prize, cost, cost)
+    return unit
 
 
 def best_response_proportional(
@@ -211,13 +235,17 @@ def best_response_proportional(
 
     opposition is R = sum of the other miners' investments; it must be
     positive. The maximizer max(0, sqrt(prize*R/c) - R) hits 0 exactly when
-    R >= prize / c.
+    R >= prize / c. Raises ValueError when it leaves the float range.
     """
-    _check_inputs(cost, opposition, prize)
-    cost = cost / prize
-    candidate = math.sqrt(opposition / cost) - opposition
+    cost = _check_inputs(cost, opposition, prize)
+    ratio = opposition / cost
+    root = (math.sqrt(ratio) if _TINY <= ratio < math.inf
+            else math.sqrt(opposition) / math.sqrt(cost))
+    candidate = root - opposition
     if candidate <= 0.0:
         return BestResponseResult((0.0,), 0.0, None)
+    if candidate == math.inf:
+        raise _beyond_range(cost, opposition, 1.0)
     u = _utility_against(candidate, cost, 1.0, opposition)
     # the interior optimum only touches 0 utility when it is itself 0
     maximizers = (0.0, candidate) if u <= TIE_TOL else (candidate,)
@@ -238,9 +266,9 @@ def best_response_eos(
     """
     if alpha <= 1:
         raise ValueError("use best_response_proportional for alpha = 1")
-    _check_inputs(cost, opposition_power, prize)
+    unit = _check_inputs(cost, opposition_power, prize)
     responses, best, _, candidate = _best_responses(
-        np.asarray([cost / prize]), alpha, np.asarray([opposition_power]))
+        np.asarray([unit]), alpha, np.asarray([opposition_power]))
     q = float(candidate[0])
     return BestResponseResult(responses[0], prize * float(best[0]),
                               None if math.isnan(q) else q)

@@ -3,13 +3,14 @@
 Subcommands: solve, verify, sweep, dynamics, best-response. Scenario and
 result documents are JSON; sweep and trajectory output is CSV. Exit codes:
 0 success, 2 parse error, 3 invalid spec, 4 no equilibrium found
-(alpha > 1), 5 verification failed. The environment variable
-CONTEST_EQ_TOL overrides the default certification tolerance of 1e-9.
+(alpha > 1), 5 verification failed (verify, or a solve whose equilibrium
+fails its certificate). The environment variable CONTEST_EQ_TOL overrides
+the default certification tolerance of 1e-9, for solve as for verify.
 
 Prize boundary: the library entry points map a scenario to the unit-prize
-game themselves; solve's utilities and best-response take the unit-prize
-costs c_i / prize from core.unit_costs here, so all tolerances, the
-oracle's 1e-8 included, are shares of the prize.
+game themselves; best-response takes the unit-prize costs c_i / prize
+from core.unit_costs here, so all tolerances, the oracle's 1e-8
+included, are shares of the prize.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import best_response as br
 from . import eos, proportional
-from .core import ContestSpec, concentration, unit_costs, unit_utilities
+from .core import ContestSpec, concentration, unit_costs
 from .dynamics import DynamicsConfig, run_dynamics
 
 SCHEMA_VERSION = 1
@@ -187,74 +188,60 @@ def _certificate_block(cert: eos.EquilibriumCertificate,
     }
 
 
+def _equilibria(spec: ContestSpec, tol: float):
+    """The model's name, each equilibrium its solver reports as
+    (equilibrium, certificate, model fields), and the solver's diagnostics.
+    The alpha = 1 closed form gets the certificate that enumeration gives
+    every alpha > 1 set."""
+    if spec.alpha == 1.0:
+        eq = proportional.solve_equilibrium(spec)
+        fields = {"c_star": eq.c_star, "total_investment": eq.total_investment}
+        return "proportional", [
+            (eq, eos.verify_equilibrium(spec, eq.investments, tol), fields)
+        ], {"method": eq.method, "iterations": eq.iterations,
+            "residual": eq.residual}
+    found = eos.enumerate_equilibria(spec, tol=tol)
+    return "eos", [
+        (eq, eq.certificate, {"power_scale": eq.power_scale}) for eq in found
+    ], {"method": "set-enumeration",
+        "participation_cap": eos.participation_cap(spec.alpha),
+        "equilibrium_count": len(found)}
+
+
 def cmd_solve(args) -> int:
     spec, labels, echo = load_scenario(args.scenario)
     tol = certification_tolerance()
-    doc = {"schema_version": SCHEMA_VERSION, "scenario": echo}
-    if spec.alpha == 1.0:
-        eq = proportional.solve_equilibrium(spec)
-        block = {
-            "c_star": eq.c_star,
-            "participants": [labels[i] for i in eq.participants],
-            "investments": list(eq.investments),
-            "shares": list(eq.shares),
-            "utilities": (spec.prize * unit_utilities(
-                unit_costs(spec), eq.investments, eq.shares)).tolist(),
-            "total_investment": eq.total_investment,
-            "concentration": _concentration_block(spec, eq.investments),
-        }
-        doc["model"] = "proportional"
-        doc["equilibria"] = [block]
-        doc["concentration"] = block["concentration"]
-        doc["diagnostics"] = {
-            "method": eq.method,
-            "iterations": eq.iterations,
-            "residual": eq.residual,
-        }
-        _emit_document(doc, args.out)
-        if args.out:
-            print(
-                f"proportional equilibrium: c* = {_fmt(eq.c_star)}, "
-                f"{len(eq.participants)} of {spec.n} miners participate"
-            )
-            for i in eq.participants:
-                print(f"  {labels[i]}: q = {_fmt(eq.investments[i])}, "
-                      f"share = {_fmt(eq.shares[i])}")
-        return EXIT_OK
-    equilibria = eos.enumerate_equilibria(spec, tol=tol)
-    blocks = []
-    for eq in equilibria:
-        blocks.append({
-            "participants": [labels[i] for i in eq.participants],
-            "investments": list(eq.investments),
-            "shares": list(eq.shares),
-            "utilities": [v.utility for v in eq.certificate.verdicts],
-            "power_scale": eq.power_scale,
-            "marginal": [labels[i] for i in eq.certificate.marginal_miners],
-            "certificate": {
-                "certified": eq.certificate.certified,
-                "tolerance": eq.certificate.tolerance * spec.prize,
-                "worst_slack": eq.certificate.worst_slack,
-            },
-            "concentration": _concentration_block(spec, eq.investments),
-        })
-    doc["model"] = "eos"
-    doc["equilibria"] = blocks
+    model, found, diagnostics = _equilibria(spec, tol)
+    blocks = [{
+        "participants": [labels[i] for i in eq.participants],
+        "investments": list(eq.investments),
+        "shares": list(eq.shares),
+        "utilities": [v.utility for v in cert.verdicts],
+        **fields,
+        "marginal": [labels[i] for i in cert.marginal_miners],
+        "certificate": {
+            "certified": cert.certified,
+            "tolerance": cert.tolerance * spec.prize,
+            "worst_slack": cert.worst_slack,
+        },
+        "concentration": _concentration_block(spec, eq.investments),
+    } for eq, cert, fields in found]
+    doc = {"schema_version": SCHEMA_VERSION, "scenario": echo,
+           "model": model, "equilibria": blocks}
     if blocks:
         doc["concentration"] = blocks[0]["concentration"]
-    doc["diagnostics"] = {
-        "method": "set-enumeration",
-        "participation_cap": eos.participation_cap(spec.alpha),
-        "equilibrium_count": len(blocks),
-        "tolerance": tol,
-    }
+    doc["diagnostics"] = {**diagnostics, "tolerance": tol}
     _emit_document(doc, args.out)
+    certified = sum(cert.certified for _, cert, _ in found)
     if args.out:
-        print(f"economies-of-scale model: {len(blocks)} certified "
-              f"equilibria (alpha = {_fmt(spec.alpha)})")
+        print(f"{model} model: {certified} of {len(blocks)} equilibria "
+              f"certified (alpha = {_fmt(spec.alpha)})")
     if not blocks:
         print("no pure-strategy equilibrium found", file=sys.stderr)
         return EXIT_NO_EQUILIBRIUM
+    if certified < len(blocks):
+        print("an equilibrium fails its certificate", file=sys.stderr)
+        return EXIT_NOT_CERTIFIED
     return EXIT_OK
 
 
@@ -322,18 +309,16 @@ def cmd_sweep(args) -> int:
             rows.append([args.param, _fmt(value), "invalid", "", "", "", "", ""])
             continue
         sub = _sweep_spec(spec, args.param, value)
-        if sub.alpha == 1.0:
-            investments = proportional.solve_equilibrium(sub).investments
-        else:
-            equilibria = eos.enumerate_equilibria(sub, tol=tol)
-            if not equilibria:
-                rows.append([args.param, _fmt(value), "no_equilibrium",
-                             "", "", "", "", ""])
-                continue
-            # report the most decentralized certified equilibrium
-            investments = max(
-                equilibria, key=lambda e: len(e.participants)
-            ).investments
+        certified = [eq for eq, cert, _ in _equilibria(sub, tol)[1]
+                     if cert.certified]
+        if not certified:
+            rows.append([args.param, _fmt(value), "no_equilibrium",
+                         "", "", "", "", ""])
+            continue
+        # report the most decentralized certified equilibrium
+        investments = max(
+            certified, key=lambda e: len(e.participants)
+        ).investments
         report = concentration(sub, investments)
         rows.append([
             args.param, _fmt(value), status,

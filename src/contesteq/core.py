@@ -67,7 +67,6 @@ class InvestmentProfile:
 @dataclass(frozen=True)
 class MarketShares:
     shares: tuple[float, ...]
-    total_investment: float
 
 
 @dataclass(frozen=True)
@@ -105,13 +104,10 @@ def shares(spec: ContestSpec, profile: ProfileLike) -> MarketShares:
     q = as_investments(spec, profile)
     top = float(q.max())
     if top == 0.0:
-        return MarketShares(shares=(0.0,) * spec.n, total_investment=0.0)
+        return MarketShares(shares=(0.0,) * spec.n)
     t = (q / top) ** spec.alpha
     x = t / float(t.sum())
-    return MarketShares(
-        shares=tuple(x.tolist()),
-        total_investment=float(q.sum()),
-    )
+    return MarketShares(shares=tuple(x.tolist()))
 
 
 def unit_costs(spec: ContestSpec) -> np.ndarray:
@@ -123,12 +119,17 @@ def unit_costs(spec: ContestSpec) -> np.ndarray:
     with np.errstate(over="ignore", under="ignore"):
         costs = np.asarray(spec.costs) / spec.prize
     if not (costs.min() > 0.0 and costs.max() < math.inf):
-        raise ValueError(
-            f"costs / prize leaves the float range of the unit-prize game "
-            f"(prize {spec.prize!r}, costs from {min(spec.costs)!r} to "
-            f"{max(spec.costs)!r})"
-        )
+        raise unit_range_error(spec.prize, min(spec.costs), max(spec.costs))
     return costs
+
+
+def unit_range_error(prize: float, lo: float, hi: float) -> ValueError:
+    """The error for costs from lo to hi whose quotients by the prize leave
+    the float range."""
+    return ValueError(
+        f"costs / prize leaves the float range of the unit-prize game "
+        f"(prize {prize!r}, costs from {lo!r} to {hi!r})"
+    )
 
 
 def unit_utilities(costs, q, x) -> np.ndarray:
@@ -173,11 +174,13 @@ def marginal_share(spec: ContestSpec, profile: ProfileLike, i: int) -> float:
 
 
 def concentration(spec: ContestSpec, profile: ProfileLike) -> ConcentrationReport:
-    """Participation count, HHI, cumulative top-k shares, rent dissipation."""
+    """Participation count, HHI, cumulative top-k shares, rent dissipation.
+    A spend beyond the float range is a rent dissipation of +inf."""
     q = as_investments(spec, profile)
     x = np.asarray(shares(spec, q).shares)
     top_k = np.cumsum(np.sort(x)[::-1])
-    spent = float(np.dot(np.asarray(spec.costs), q))
+    with np.errstate(over="ignore"):
+        spent = float(np.dot(np.asarray(spec.costs), q))
     return ConcentrationReport(
         participant_count=int(np.count_nonzero(q > 0)),
         hhi=float(np.dot(x, x)),

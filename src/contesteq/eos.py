@@ -163,10 +163,11 @@ def verify_equilibrium(
     u = unit_utilities(costs, q, shares(spec, q).shares)
     responses, best, interior, _ = br._best_responses(costs, spec.alpha,
                                                       oppositions)
-    slack = v * (u - best)
+    with np.errstate(over="ignore"):  # beyond the float range is -inf
+        utilities, slack = v * u, v * (u - best)
     notes = np.where(oppositions == 0.0, br.ZERO_OPPOSITION, "").tolist()
     verdicts = tuple(map(MinerVerdict._make, zip(
-        range(q.size), q.tolist(), (v * u).tolist(), (v * best).tolist(),
+        range(q.size), q.tolist(), utilities.tolist(), (v * best).tolist(),
         slack.tolist(), responses, (np.abs(interior) <= 1e-9).tolist(),
         notes)))
     return EquilibriumCertificate(
@@ -212,7 +213,10 @@ def solve_for_set(
     left it may, and then bisects. At most 200 steps. `iterations` counts
     them and `residual` is |sum x - 1|.
     Returns None when the shares exceed 1 already at s_max (the set cannot
-    be a participant set of any equilibrium). Every member's share lies on
+    be a participant set of any equilibrium), and before any solve when
+    c_min/c_max < (k - 1)(alpha - 1), which implies it: near alpha = 1 that
+    excess is below SUM_TOL. ValueError when s_max leaves the float range.
+    Every member's share lies on
     [1 - 1/alpha, 1), where its utility x(1 - alpha(1 - x)) at the
     first-order point is >= 0, so no member would rather abstain.
     The returned candidate carries a full best-response certificate;
@@ -220,10 +224,17 @@ def solve_for_set(
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
-    unit, s_idx = unit_costs(spec), _validate_set(spec, participant_set)
-    alpha = spec.alpha
+    s_idx, alpha = _validate_set(spec, participant_set), spec.alpha
+    members = [spec.costs[i] for i in s_idx]
+    if min(members) / max(members) < (
+            (len(s_idx) - 1) * (alpha - 1.0) * (1.0 - 1e-12)):
+        return None
+    unit = unit_costs(spec)
     costs = unit[list(s_idx)].tolist()
     s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
+    if s_max == math.inf:
+        raise ValueError(f"power scale s_max leaves the float range (largest "
+                         f"unit cost {max(costs)!r}, alpha {alpha!r})")
     log_weights = [math.log(c) - math.log(alpha) for c in costs]
     z_end = -math.log(alpha)  # the participation share 1 - 1/alpha
     u = hi = math.log(s_max)
@@ -294,11 +305,8 @@ def enumerate_equilibria(spec: ContestSpec,
     whole game is invariant under relabelling equal-cost miners, only one
     representative per cost multiset is solved and certified; certified
     representatives are relabelled onto every index subset with that
-    multiset, which certifies each copy by symmetry. Sets with
-    c_min/c_max < (k - 1)(alpha - 1) have shares above 1 at s_max and are
-    skipped: near alpha = 1 that excess is below SUM_TOL, so solve_for_set
-    could not reject them itself. alpha > 2 yields an empty list (the cap
-    drops below 2); absence is reported, not proven.
+    multiset, which certifies each copy by symmetry. alpha > 2 yields an
+    empty list (the cap drops below 2); absence is reported, not proven.
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
@@ -309,11 +317,8 @@ def enumerate_equilibria(spec: ContestSpec,
     out: list[EosEquilibrium] = []
     solved: dict[tuple[float, ...], Optional[EosEquilibrium]] = {}
     for k in range(2, min(cap, spec.n) + 1):
-        floor = (k - 1) * (spec.alpha - 1.0) * (1.0 - 1e-12)
         for subset in combinations(range(spec.n), k):
             key = tuple(sorted([spec.costs[i] for i in subset]))
-            if key[0] / key[-1] < floor:
-                continue
             if key not in solved:
                 solved[key] = solve_for_set(spec, subset, tol)
             rep = solved[key]

@@ -19,6 +19,7 @@ bisection on X is the shipped cross-check oracle and is never called here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,8 @@ def threshold_function(costs, c: float) -> float:
     if c <= 0:
         raise ValueError("threshold argument must be positive")
     cost = np.asarray(costs, dtype=float)
-    return float(np.maximum(1.0 - cost / c, 0.0).sum())
+    with np.errstate(over="ignore"):  # c_i / c = inf counts 0, as it should
+        return float(np.maximum(1.0 - cost / c, 0.0).sum())
 
 
 def solve_threshold_bisection(costs) -> tuple[float, int]:
@@ -85,27 +87,39 @@ def solve_threshold(costs) -> float:
     X(c) = 1 gives candidate_k = (c_1 + ... + c_k) / (k - 1), and
     candidate_k <= c_{k+1} exactly when X(c_{k+1}) >= 1. The first such k
     (c_{n+1} = inf, so k = n at worst) is the participant count, so the
-    scan always returns and tied costs need no special casing.
+    scan always returns and tied costs need no special casing. Costs near
+    the float maximum are scanned divided by a power of two, exact in the
+    normal range, so the prefix sums stay finite; c* itself may be inf.
     """
     cost = np.sort(np.asarray(costs, dtype=float))
     if cost.size < 2:
         raise ValueError("need at least 2 miners")
     if not np.all(np.isfinite(cost)) or np.any(cost <= 0):
         raise ValueError("all costs must be finite and > 0")
+    scale = 2.0 ** cost.size.bit_length()
+    if cost[-1] < np.finfo(float).max / scale:
+        scale = 1.0
+    cost = cost / scale
     candidates = np.cumsum(cost)[1:] / np.arange(1, cost.size)
     k = int(np.argmax(candidates <= np.append(cost[2:], np.inf)))
-    return float(candidates[k])
+    return float(candidates[k]) * scale
 
 
 def solve_equilibrium(spec: ContestSpec) -> ProportionalEquilibrium:
-    """The unique equilibrium of a proportional-model spec (alpha = 1)."""
+    """The unique equilibrium of a proportional-model spec (alpha = 1).
+    ValueError when c* or the total investment 1/c* leaves the float
+    range."""
     if spec.alpha != 1.0:
         raise ValueError(
             "proportional solver requires alpha = 1; use the eos module"
         )
     effective = unit_costs(spec)
     c_star = solve_threshold(effective)
-    x = np.maximum(1.0 - effective / c_star, 0.0)
+    if not 0.0 < 1.0 / c_star < math.inf:
+        raise ValueError(f"threshold c* or total investment 1/c* leaves the "
+                         f"float range (c* {c_star!r})")
+    with np.errstate(over="ignore"):  # only outsiders' c_i / c* overflow
+        x = np.maximum(1.0 - effective / c_star, 0.0)
     q = x / c_star
     participants = tuple(int(i) for i in np.flatnonzero(x > 0.0))
     return ProportionalEquilibrium(

@@ -93,6 +93,41 @@ class TestSolve:
             assert block["investments"][0] == 0.0
             assert block["certificate"]["certified"]
 
+    def test_closed_form_carries_the_certificate_verify_finds(
+            self, scenario_harmonic, tmp_path):
+        result, check = tmp_path / "r.json", tmp_path / "c.json"
+        assert cli.main(["solve", "--scenario", scenario_harmonic,
+                         "--out", str(result)]) == cli.EXIT_OK
+        block = json.loads(result.read_text())["equilibria"][0]
+        cli.main(["verify", "--scenario", scenario_harmonic,
+                  "--profile", str(result), "--out", str(check)])
+        found = json.loads(check.read_text())["certificate"]
+        assert block["certificate"] == {
+            key: found[key] for key in ("certified", "tolerance",
+                                        "worst_slack")}
+        assert block["marginal"] == [
+            m["label"] for m in found["miners"] if m["marginal"]]
+        assert block["utilities"] == [m["utility"] for m in found["miners"]]
+
+    def test_closed_form_failing_its_certificate_exits_five(self, tmp_path):
+        # c* = 1 leaves one participant, who faces zero opposition
+        path = write_json(tmp_path / "s.json", {"costs": [1e-300, 1.0, 1e300]})
+        out = tmp_path / "r.json"
+        code = cli.main(["solve", "--scenario", path, "--out", str(out)])
+        assert code == cli.EXIT_NOT_CERTIFIED
+        block = json.loads(out.read_text())["equilibria"][0]
+        assert block["participants"] == ["m1"]
+        assert block["certificate"]["certified"] is False
+
+    def test_tolerance_env_reaches_the_closed_form(self, scenario_harmonic,
+                                                  tmp_path, monkeypatch):
+        monkeypatch.setenv("CONTEST_EQ_TOL", "1e-6")
+        out = tmp_path / "r.json"
+        cli.main(["solve", "--scenario", scenario_harmonic, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["equilibria"][0]["certificate"]["tolerance"] == 1e-6
+        assert doc["diagnostics"]["tolerance"] == 1e-6
+
     def test_alpha_above_two_exits_four(self, tmp_path):
         path = write_json(tmp_path / "hot.json",
                           {"alpha": 2.5, "costs": [1, 1, 1]})
@@ -231,6 +266,14 @@ class TestSweep:
         rows = read_csv(out)[1:]
         assert rows[0][1:3] == ["1", "clipped"]
         assert rows[-1][1:3] == ["2", "clipped"]
+
+    def test_uncertified_closed_form_is_no_equilibrium(self, tmp_path):
+        scenario = write_json(tmp_path / "s.json",
+                              {"costs": [1e-300, 1.0, 1e300]})
+        out = tmp_path / "sweep.csv"
+        cli.main(["sweep", "--scenario", scenario, "--param", "prize",
+                  "--grid", "1:2:2", "--out", str(out)])
+        assert [row[2] for row in read_csv(out)[1:]] == ["no_equilibrium"] * 2
 
     def test_bad_grid_is_parse_error(self, scenario_harmonic, tmp_path):
         assert cli.main(

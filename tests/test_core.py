@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from contesteq import (
     ContestSpec,
     InvestmentProfile,
+    MarketShares,
     concentration,
     marginal_share,
     reduce_exponents,
@@ -59,9 +60,7 @@ class TestShares:
 
     def test_all_zero_profile_has_zero_shares(self):
         spec = ContestSpec(costs=(1.0, 2.0, 3.0), alpha=1.7)
-        result = shares(spec, (0.0, 0.0, 0.0))
-        assert result.shares == (0.0, 0.0, 0.0)
-        assert result.total_investment == 0.0
+        assert shares(spec, (0.0, 0.0, 0.0)) == MarketShares((0.0, 0.0, 0.0))
 
     def test_example_pair_at_alpha_two(self):
         spec = ContestSpec(costs=(1.0, 1.0, 1.0, 1.0), alpha=2.0)

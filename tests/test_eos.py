@@ -348,13 +348,14 @@ class TestCostRatioBound:
     cheapest member's gap at s_max is below (k - 1)(1 - 1/alpha), the
     others hold at least 1 - 1/alpha each, so the shares exceed 1 there.
     The excess shrinks like (alpha - 1)**2 * |log(alpha - 1)|, so below
-    alpha - 1 of about 1e-7 SUM_TOL absorbs it, and enumerate_equilibria
-    skips such sets before solving."""
+    alpha - 1 of about 1e-7 SUM_TOL absorbs it, and solve_for_set returns
+    None for such sets before solving."""
 
     @settings(max_examples=300)
-    @given(alpha=log_uniform(1e-6, 1.0).map(lambda d: 1.0 + d),
+    @given(alpha=log_uniform(1e-16, 1.0).map(lambda d: 1.0 + d),
            data=st.data())
     def test_sets_below_the_bound_return_none(self, alpha, data):
+        assume(alpha > 1.0)  # 1 + d rounds to 1 for d below 1.1e-16
         k = data.draw(st.integers(2, min(6, participation_cap(alpha))))
         bound = (k - 1) * (alpha - 1.0) * (1.0 - 1e-12)
         # just under the bound, or anywhere below it
@@ -374,9 +375,10 @@ class TestCostRatioBound:
     @pytest.mark.parametrize("alpha", [1.0 + 1e-15, 1.0 + 1e-13])
     def test_sets_below_the_bound_near_alpha_one_are_skipped(self, alpha):
         # half the bound: the shares at s_max exceed 1 by less than
-        # SUM_TOL, so solve_for_set alone may return a pair that certifies
-        # within 1e-9; the skip keeps it out
+        # SUM_TOL, so a solve could return a pair that certifies within
+        # 1e-9; the bound keeps it out
         spec = ContestSpec((0.5 * (alpha - 1.0), 1.0), alpha)
+        assert solve_for_set(spec, (0, 1)) is None
         assert enumerate_equilibria(spec) == []
 
 

@@ -6,8 +6,14 @@ and slacks scale by k. Each named test below is a case that absolute
 tolerances used to get wrong.
 """
 
+import contextlib
+import io
+import json
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,17 +22,28 @@ from hypothesis import given, settings, strategies as st
 from contesteq import (
     ContestSpec,
     DynamicsConfig,
+    MarketShares,
+    best_response_eos,
+    best_response_proportional,
+    cli,
+    concentration,
     enumerate_equilibria,
     invert_share_weight,
     run_dynamics,
     share_weight,
+    shares,
     solve_equilibrium,
+    solve_for_set,
+    utility,
     verify_equilibrium,
 )
+from contesteq import best_response as br
 from contesteq.core import unit_costs
 
 HARMONIC10 = tuple(i / (i + 1) for i in range(1, 11))
 UNIT_GAME_RANGE = "costs / prize leaves the float range of the unit-prize game"
+#: every ValueError of the float-range policy says this
+FLOAT_RANGE = re.compile("leaves? the float range")
 DETERRENCE = (math.sqrt(0.5), 1.0, 1.0, 1.0)
 
 
@@ -160,6 +177,202 @@ class TestUnitCosts:
             else:
                 with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
                     unit_costs(spec)
+
+
+def no_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call()
+
+
+class TestFloatRange:
+    """Finite inputs beyond the float range: a representable answer is
+    returned, otherwise a ValueError names the range; never a warning."""
+
+    def test_closed_form_abstains_when_cost_times_opposition_is_one(self):
+        # opposition / cost = 1e600 is no float: sqrt(a) / sqrt(c) is
+        result = no_warning(lambda: best_response_proportional(1e-300, 1e300))
+        assert result.optimal_investments == (0.0,)
+        assert result.optimal_utility == 0.0
+
+    def test_closed_form_keeps_a_quotient_below_the_normal_range(self):
+        # opposition / cost = 5e-334 is 0.0 as a float, which would abstain
+        # from a share of almost the whole prize
+        result = no_warning(lambda: best_response_proportional(1e10, 5e-324))
+        assert result.optimal_investments == (
+            math.sqrt(5e-324) / math.sqrt(1e10) - 5e-324,)
+        assert result.optimal_utility == 1.0
+
+    def test_verify_gets_the_closed_form_past_an_overflowing_quotient(self):
+        cert = no_warning(lambda: verify_equilibrium(
+            ContestSpec((1e-300, 1.0)), (0.0, 1e300)))
+        assert not cert.certified  # miner 1 faces zero opposition
+        assert cert.verdicts[0].best_responses == (0.0,)
+        assert cert.verdicts[0].slack == 0.0
+
+    @pytest.mark.parametrize("cost, opposition", [
+        (1e-300, 1e300), (1e10, 5e-324), (1e-317, 1e299), (2.0, 0.1)])
+    def test_scalar_and_vector_closed_forms_agree_bit_for_bit(
+            self, cost, opposition):
+        one = br._best_responses(np.asarray([cost]), 1.0,
+                                 np.asarray([opposition]))
+        result = best_response_proportional(cost, opposition)
+        assert one[0][0] == result.optimal_investments
+        assert one[1][0] == result.optimal_utility
+
+    def test_closed_form_beyond_the_float_range_is_named(self):
+        # sqrt(1e300 / 1e-317) is past the float maximum
+        with pytest.raises(ValueError, match="best response leaves the "
+                           "float range"):
+            no_warning(lambda: best_response_proportional(1e-317, 1e300))
+        with pytest.raises(ValueError, match="best response leaves the "
+                           "float range"):
+            no_warning(lambda: verify_equilibrium(
+                ContestSpec((1e-317, 1.0, 1.0)), (0.0, 5e299, 5e299)))
+
+    @pytest.mark.parametrize("oracle", [
+        lambda: best_response_proportional(1e-200, 1.0, 1e200),
+        lambda: best_response_eos(1e-200, 1.5, 1.0, 1e200),
+    ])
+    def test_oracles_name_the_unit_game_range(self, oracle):
+        with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
+            no_warning(oracle)
+
+    def test_overflowing_caller_unit_utility_is_minus_inf(self):
+        # the unit-prize utility -1e110 times the prize 1e200
+        spec = ContestSpec((1e10, 1e10), 1.01, 1e200)
+        cert = no_warning(lambda: verify_equilibrium(spec, (1e300, 1e300)))
+        assert not cert.certified
+        assert cert.worst_slack == -math.inf
+        assert [v.utility for v in cert.verdicts] == [-math.inf] * 2
+
+    def test_closed_form_with_an_outsider_past_the_threshold_range(self):
+        # 1e300 / c* overflows, yet the outsider's share is simply 0
+        eq = no_warning(lambda: solve_equilibrium(
+            ContestSpec((1e-300, 1e-300, 1e300))))
+        assert eq.shares == (0.5, 0.5, 0.0)
+
+    def test_closed_form_investments_beyond_the_float_range_are_named(self):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            no_warning(lambda: solve_equilibrium(
+                ContestSpec((5e-324, 1e-323))))
+
+    def test_closed_form_with_costs_near_the_float_maximum(self):
+        # the prefix sum 3e308 overflows, c* = 1.5e308 does not
+        eq = no_warning(lambda: solve_equilibrium(ContestSpec((1e308,) * 3)))
+        assert eq.c_star == 1.5e308
+        assert eq.shares == pytest.approx((1 / 3,) * 3, rel=1e-15)
+        with pytest.raises(ValueError, match="leaves the float range"):
+            no_warning(lambda: solve_equilibrium(ContestSpec((1.7e308,) * 2)))
+
+    def test_set_solve_with_a_power_scale_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            no_warning(lambda: solve_for_set(
+                ContestSpec((1e-310, 1e-310), alpha=1.5), (0, 1)))
+
+    def test_overflowing_spend_is_infinite_rent_dissipation(self):
+        report = no_warning(lambda: concentration(
+            ContestSpec((10.0, 10.0)), (0.0, 1e308)))
+        assert report.rent_dissipation == math.inf
+
+    def test_shares_of_a_profile_whose_sum_overflows(self):
+        x = no_warning(lambda: shares(ContestSpec((1.0,) * 3), (1e308,) * 3))
+        assert x == MarketShares((1 / 3,) * 3)
+
+
+@st.composite
+def float_range_cases(draw):
+    """Costs, prize, a profile with zeros and an opposition, all
+    log-uniform over 1e-300 to 1e300, for 2 to 5 miners."""
+    n = draw(st.integers(2, 5))
+    costs = draw(st.lists(floats_1e300, min_size=n, max_size=n))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0,
+                                                   exclude_min=True)))
+    spec = ContestSpec(tuple(costs), alpha, draw(floats_1e300))
+    q = draw(st.lists(st.one_of(st.just(0.0), floats_1e300), min_size=n,
+                      max_size=n))
+    return spec, q, draw(floats_1e300)
+
+
+def answer_or_named_range(call):
+    """call()'s result, or None after a ValueError that names the float
+    range. Any other error, an OverflowError or a RuntimeWarning, fails."""
+    try:
+        return call()
+    except ValueError as exc:
+        assert FLOAT_RANGE.search(str(exc)), exc
+        return None
+
+
+def run_cli(*argv):
+    """cli.main in-process: exit code; exit 3 must name the float range."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    if code == cli.EXIT_INVALID_SPEC:
+        assert FLOAT_RANGE.search(err.getvalue()), err.getvalue()
+    return code
+
+
+class TestFloatRangeProperty:
+    @settings(max_examples=200)
+    @given(float_range_cases())
+    def test_every_entry_point_answers_or_names_the_range(self, case):
+        spec, q, opposition = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check_library(spec, q, opposition)
+            self.check_cli(spec, q)
+
+    @staticmethod
+    def check_library(spec, q, opposition):
+        answer_or_named_range(lambda: shares(spec, q))
+        for i in range(spec.n):
+            answer_or_named_range(lambda: utility(spec, q, i))
+        answer_or_named_range(lambda: concentration(spec, q))
+        answer_or_named_range(lambda: verify_equilibrium(spec, q))
+        cost = spec.costs[0]
+        answer_or_named_range(lambda: best_response_proportional(
+            cost, opposition, spec.prize))
+        if spec.alpha == 1.0:
+            answer_or_named_range(lambda: solve_equilibrium(spec))
+        else:
+            answer_or_named_range(lambda: best_response_eos(
+                cost, spec.alpha, opposition, spec.prize))
+            if spec.n <= 4:
+                answer_or_named_range(lambda: enumerate_equilibria(spec))
+
+    @staticmethod
+    def check_cli(spec, q):
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, profile = Path(tmp, "s.json"), Path(tmp, "p.json")
+            result = Path(tmp, "r.json")
+            scenario.write_text(json.dumps(
+                {"costs": list(spec.costs), "alpha": spec.alpha,
+                 "prize": spec.prize}))
+            profile.write_text(json.dumps(q))
+            code = run_cli("verify", "--scenario", str(scenario),
+                           "--profile", str(profile))
+            assert code in (cli.EXIT_OK, cli.EXIT_INVALID_SPEC,
+                            cli.EXIT_NOT_CERTIFIED)
+            code = run_cli("solve", "--scenario", str(scenario),
+                           "--out", str(result))
+            assert code in (cli.EXIT_OK, cli.EXIT_INVALID_SPEC,
+                            cli.EXIT_NO_EQUILIBRIUM, cli.EXIT_NOT_CERTIFIED)
+            if code not in (cli.EXIT_OK, cli.EXIT_NOT_CERTIFIED):
+                return
+            # the first block's certificate is what verify finds for it
+            block = json.loads(result.read_text())["equilibria"][0]
+            check = Path(tmp, "c.json")
+            code = run_cli("verify", "--scenario", str(scenario),
+                           "--profile", str(result), "--out", str(check))
+            found = json.loads(check.read_text())["certificate"]
+            assert code == (cli.EXIT_OK if found["certified"]
+                            else cli.EXIT_NOT_CERTIFIED)
+            assert (block["certificate"]["certified"],
+                    block["certificate"]["worst_slack"]) == (
+                found["certified"], found["worst_slack"])
 
 
 class TestCostScale:
