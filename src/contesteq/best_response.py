@@ -78,9 +78,13 @@ def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         opposition = _sums_after(power[::-1])[::-1] + _sums_after(power)
         if np.isinf(opposition + power).any():  # each entry is the total
-            raise ValueError(f"aggregate power leaves the float range (up "
-                             f"to {float(np.max(q))!r}, alpha {alpha!r})")
+            raise _aggregate_beyond_range(q, alpha)
     return opposition
+
+
+def _aggregate_beyond_range(q, alpha: float) -> ValueError:
+    return ValueError(f"aggregate power leaves the float range (up to "
+                      f"{float(np.max(q))!r}, alpha {alpha!r})")
 
 
 def _beyond_range(cost: float, opposition_power: float,

@@ -59,9 +59,12 @@ class Trajectory:
 
     profiles: tuple[tuple[float, ...], ...]
     status: str  # converged | max_rounds_exhausted | cycle_detected
-    rounds_used: int
     spec: ContestSpec
     certificate: Optional[EquilibriumCertificate] = field(default=None)
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.profiles) - 1
 
     @property
     def terminal(self) -> tuple[float, ...]:
@@ -74,9 +77,9 @@ class Trajectory:
         costs = unit_costs(self.spec)
         for rnd, profile in enumerate(self.profiles[1:], start=1):
             x = shares(self.spec, profile).shares
-            u = self.spec.prize * unit_utilities(costs, profile, x)
-            for miner, q in enumerate(profile):
-                yield rnd, miner, q, x[miner], float(u[miner])
+            u = unit_utilities(costs, profile, x).tolist()
+            for miner, q in enumerate(profile):  # float * V overflows to -inf
+                yield rnd, miner, q, x[miner], self.spec.prize * u[miner]
 
 
 def run_dynamics(
@@ -86,57 +89,54 @@ def run_dynamics(
 ) -> Trajectory:
     """Iterate best responses from config.initial_profile.
 
-    The initial profile must have at least one positive investment (from
-    all zeros, no miner has a best response). Identical spec and config
-    reproduce the trajectory bit for bit. An update that lowers the
-    updating miner's utility by more than 1e-12 of the prize raises
-    ArithmeticError: exact best responses never do.
+    The start needs a positive investment: from all zeros no miner has a
+    best response. Identical spec and config reproduce the trajectory bit
+    for bit. An update that loses its miner over 1e-12 of the prize raises
+    ArithmeticError (exact best responses never do); a power or aggregate
+    power beyond the float range raises a ValueError that names it.
     """
-    costs, alpha = unit_costs(spec), spec.alpha
+    costs, alpha = unit_costs(spec).tolist(), spec.alpha
+    tol = config.convergence_tol
     q = as_investments(spec, config.initial_profile)
     if not np.any(q > 0):
         raise ValueError("initial profile must have a positive investment")
-    br._opposition_powers(q, alpha)  # ValueError if no finite aggregate
     snapshots = [tuple(q.tolist())]
-    seen = {(q + 0.0).tobytes()}  # + 0.0 folds -0.0 into 0.0
-    status = "max_rounds_exhausted"
-    certificate = None
-    for rounds_used in range(1, config.max_rounds + 1):  # max_rounds >= 1
-        previous = q.copy()
-        # miner i faces the miners before it, already updated, plus the
-        # round's incumbents after it: a running prefix plus the suffix sums
-        # of the round's profile, O(1) per update with nothing cancelled
-        before = 0.0
-        after = br._sums_after(br._powers(q, alpha)).tolist()
-        for i, cost in enumerate(costs.tolist()):
+    seen = set(snapshots)  # tuples compare and hash -0.0 as 0.0
+    status, certificate = "max_rounds_exhausted", None
+    for _ in range(config.max_rounds):  # max_rounds >= 1
+        # miner i faces the updated miners before it (a running prefix) and
+        # the incumbents after it (suffix sums): O(1), nothing cancelled
+        power = br._powers(q, alpha)
+        with np.errstate(over="ignore"):  # an inf sum is named per update
+            after = br._sums_after(power).tolist()
+        power, before, moved = power.tolist(), 0.0, False
+        for i, (cost, qi, p) in enumerate(zip(costs, snapshots[-1], power)):
             opposition = before + after[i]
-            qi = float(q[i])
             if opposition != 0.0:  # else no best response: keep the incumbent
+                if opposition + p == np.inf:  # the state miner i faces
+                    raise br._aggregate_beyond_range(q, alpha)
                 result = br._best_response(cost, alpha, opposition)
                 target = min(result.optimal_investments,
                              key=lambda m: (abs(m - qi), m))
-                gain = (br._utility_against(target, cost, alpha, opposition)
-                        - br._utility_against(qi, cost, alpha, opposition))
+                response = float(br._powers(target, alpha))
+                if opposition + response == np.inf:  # the state it leaves
+                    raise br._aggregate_beyond_range(q, alpha)
+                gain = ((response / (response + opposition) - cost * target)
+                        - (p / (p + opposition) - cost * qi))
                 if gain < -1e-12:
                     raise ArithmeticError(f"best response lowered miner {i}'s"
                                           f" utility by {-gain} of the prize")
-                q[i] = qi = target
-            before += float(br._powers(qi, alpha))
+                moved = moved or cost * abs(target - qi) > tol
+                q[i], p = target, response
+            before += p
         snapshots.append(tuple(q.tolist()))
-        change = float((costs * np.abs(q - previous)).max())
-        if change <= config.convergence_tol:
+        if not moved:  # no spend change c_i * |dq_i| above tol
             certificate = verify_equilibrium(spec, q, verify_tol)
             status = "converged" if certificate.certified else "cycle_detected"
             break
-        key = (q + 0.0).tobytes()
-        if key in seen:
+        if snapshots[-1] in seen:
             status = "cycle_detected"
             break
-        seen.add(key)
-    return Trajectory(
-        profiles=tuple(snapshots),
-        status=status,
-        rounds_used=rounds_used,
-        spec=spec,
-        certificate=certificate,
-    )
+        seen.add(snapshots[-1])
+    return Trajectory(profiles=tuple(snapshots), status=status, spec=spec,
+                      certificate=certificate)

@@ -12,6 +12,7 @@ from contesteq import (
     utility,
     verify_equilibrium,
 )
+from contesteq import best_response as br
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 
@@ -131,6 +132,28 @@ class TestFloatRange:
                              DynamicsConfig((1.0, 1.0)))
         assert (t.status, t.rounds_used) == ("cycle_detected", 2)
         assert t.terminal[1] == 0.0
+
+
+class TestGainCheck:
+    """An update that loses utility is an error: exact best responses
+    never do, so only a wrong oracle reaches it."""
+
+    @staticmethod
+    def run_with_oracle(monkeypatch, investments):
+        monkeypatch.setattr(br, "_best_response", lambda cost, alpha, a:
+                            br.BestResponseResult(investments, 0.0))
+        # (0.25, 0.25) is the interior equilibrium of costs (1, 1)
+        return run_dynamics(ContestSpec((1.0, 1.0)),
+                            DynamicsConfig((0.25, 0.25)))
+
+    def test_abstaining_from_the_interior_optimum_raises(self, monkeypatch):
+        with pytest.raises(ArithmeticError, match="lowered miner 0's utility"
+                           " by 0.25 of the prize"):
+            self.run_with_oracle(monkeypatch, (0.0,))
+
+    def test_keeping_the_incumbent_passes(self, monkeypatch):
+        t = self.run_with_oracle(monkeypatch, (0.25,))
+        assert (t.status, t.rounds_used) == ("converged", 1)
 
 
 class TestEosDynamics:

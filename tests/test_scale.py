@@ -279,6 +279,44 @@ class TestFloatRange:
         x = no_warning(lambda: shares(ContestSpec((1.0,) * 3), (1e308,) * 3))
         assert x == MarketShares((1 / 3,) * 3)
 
+    def test_dynamics_response_whose_power_overflows_is_named(self):
+        # miner 0 answers 2.08e222, whose power at alpha 1.4477 is no
+        # float; the gain check's q**alpha once raised OverflowError here
+        spec = ContestSpec((1.3234700934532057e-153, 5.213492009679281e223,
+                            2.5952117285669486e129, 4.53525861368839e-100),
+                           1.4477001628263304, 3.427954363514052e122)
+        q = (173.76550388562134, 3.393599647740041e185,
+             3.0613828013614555e-210, 0)
+        with pytest.raises(ValueError, match="investments\\*\\*alpha leave "
+                           "the float range"):
+            no_warning(lambda: run_dynamics(
+                spec, DynamicsConfig(q, max_rounds=50)))
+
+    def test_dynamics_spend_change_beyond_the_float_range(self):
+        # the spend change of round 1 is no float; it once warned
+        # "overflow encountered in multiply" and now reads as inf
+        spec = ContestSpec((7.223627040760353e271, 1.977854235100907e114,
+                            1971786289.3894043), 1.0014520403324614,
+                           3.5945923480610155e70)
+        q = (9.587258197324379e167, 5.295082340535073e178,
+             2.439491965881578e-61)
+        t = no_warning(lambda: run_dynamics(
+            spec, DynamicsConfig(q, max_rounds=50)))
+        assert (t.status, t.rounds_used) == ("cycle_detected", 3)
+
+    def test_dynamics_aggregate_power_overflowing_in_a_later_round(self):
+        # round 1 ends on (1.79e291, 2.36e293); in round 2 miner 1's answer
+        # takes the aggregate power past the float range, which the gain
+        # check once misread as a loss of 0.27 of the prize
+        spec = ContestSpec((3.442419652512861e-296, 2.6622588102630944e-296),
+                           1.0451959338278591)
+        q = (8.468532408377345e+288, 1.603887734107813e+287)
+        assert no_warning(lambda: run_dynamics(
+            spec, DynamicsConfig(q, max_rounds=1))).rounds_used == 1
+        with pytest.raises(ValueError, match="aggregate power leaves the "
+                           "float range"):
+            no_warning(lambda: run_dynamics(spec, DynamicsConfig(q)))
+
 
 @st.composite
 def float_range_cases(draw):
@@ -332,6 +370,9 @@ class TestFloatRangeProperty:
             answer_or_named_range(lambda: utility(spec, q, i))
         answer_or_named_range(lambda: concentration(spec, q))
         answer_or_named_range(lambda: verify_equilibrium(spec, q))
+        if any(q):  # an all-zero start is refused in its own terms
+            answer_or_named_range(lambda: run_dynamics(
+                spec, DynamicsConfig(q, max_rounds=50)))
         cost = spec.costs[0]
         answer_or_named_range(lambda: best_response_proportional(
             cost, opposition, spec.prize))
@@ -356,6 +397,14 @@ class TestFloatRangeProperty:
                            "--profile", str(profile))
             assert code in (cli.EXIT_OK, cli.EXIT_INVALID_SPEC,
                             cli.EXIT_NOT_CERTIFIED)
+            if any(q):
+                config = Path(tmp, "d.json")
+                config.write_text(json.dumps({"initial": q,
+                                              "max_rounds": 50}))
+                code = run_cli("dynamics", "--scenario", str(scenario),
+                               "--config", str(config),
+                               "--out", str(Path(tmp, "t.csv")))
+                assert code in (cli.EXIT_OK, cli.EXIT_INVALID_SPEC)
             code = run_cli("solve", "--scenario", str(scenario),
                            "--out", str(result))
             assert code in (cli.EXIT_OK, cli.EXIT_INVALID_SPEC,
