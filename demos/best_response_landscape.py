@@ -11,7 +11,6 @@ import numpy as np
 from contesteq import (
     best_response_eos,
     best_response_proportional,
-    convexity_profile,
     grid_oracle,
 )
 
@@ -25,8 +24,11 @@ for q in np.linspace(0.02, 0.7, 18):
     offset = int(34 + 220 * u)
     print(f"  q = {q:4.2f}  u = {u:+.4f}  " + " " * offset + "*")
 
-crossover = convexity_profile(cost, alpha, rivals_power)
-print(f"\ninflection share {crossover:.6f}"
+# the second difference of utility on a fine grid changes sign once
+q = np.linspace(1e-4, 1.0, 100_001)
+x = q**alpha / (q**alpha + rivals_power)
+k = int(np.argmax(np.diff(x - cost * q, 2) < 0.0))
+print(f"\nsecond difference turns negative at share {x[k + 1]:.6f}"
       f" vs (alpha-1)/(2 alpha) = {(alpha - 1) / (2 * alpha):.6f}")
 
 analytic = best_response_eos(cost, alpha, rivals_power)

@@ -5,7 +5,6 @@ from .best_response import (
     NoBestResponse,
     best_response_eos,
     best_response_proportional,
-    convexity_profile,
     grid_oracle,
 )
 from .core import (
@@ -61,7 +60,6 @@ __all__ = [
     "best_response_eos",
     "best_response_proportional",
     "concentration",
-    "convexity_profile",
     "enumerate_equilibria",
     "foc_residual",
     "grid_oracle",

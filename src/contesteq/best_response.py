@@ -15,8 +15,7 @@ independent of both analytic paths.
 Prize boundary: the analytic oracles solve the unit-prize game at cost
 c / prize and multiply the utility they report by the prize, so their
 tolerances are relative to it. The helpers the rest of the package shares
-are prize-free: opposition power, best-response dispatch, and utility
-against a given opposition.
+are prize-free: opposition power and best-response dispatch.
 """
 
 from __future__ import annotations
@@ -146,9 +145,11 @@ def _best_responses(
     and the candidate (nan where there is none). A miner facing zero
     opposition has no best response: an empty set and best utility +inf.
 
-    At alpha = 1 the closed form runs on whole arrays; where a / c is no
-    normal float, sqrt(a / c) is taken as sqrt(a) / sqrt(c), which keeps
-    its digits, as in best_response_proportional. At alpha > 1 the
+    At alpha = 1 the closed form runs on whole arrays, with the float
+    operations of best_response_proportional: where a / c is no normal
+    float, q = sqrt(a / c) - a is taken as sqrt(a) * (1/sqrt(c) - sqrt(a)),
+    which keeps its digits and overflows only with q, and where q + a
+    overflows, the share q / (q + a) as 1 / (1 + a / q). At alpha > 1 the
     first-order condition alpha*x**(1-1/alpha)*(1-x)**(1+1/alpha) =
     c*a**(1/alpha), raised to the power alpha/(alpha+1), is f(x) = t at
     exponent e = (alpha+1)/2, with log t = (alpha*log c + log a -
@@ -169,17 +170,22 @@ def _best_responses(
     live = np.flatnonzero(~alone)
     c, a = costs[live], oppositions[live]
     if alpha == 1.0:
-        with np.errstate(over="ignore"):  # an inf root is named below
+        with np.errstate(over="ignore"):  # an inf q is named below
             ratio = a / c
-            root = np.sqrt(ratio)
+            q = np.sqrt(ratio) - a
             wide = ~((ratio >= _TINY) & (ratio < math.inf))
-            root[wide] = np.sqrt(a[wide]) / np.sqrt(c[wide])
-        q = root - a
+            root_a = np.sqrt(a[wide])
+            q[wide] = root_a * (1.0 / np.sqrt(c[wide]) - root_a)
         inside = q > 0.0
         live, c, a, q = live[inside], c[inside], a[inside], q[inside]
         for i in live[q == math.inf].tolist()[:1]:
             raise _beyond_range(float(costs[i]), float(oppositions[i]), alpha)
-        u = q / (q + a) - c * q
+        with np.errstate(over="ignore"):
+            total = q + a
+        x = q / total
+        wide = total == math.inf
+        x[wide] = 1.0 / (1.0 + a[wide] / q[wide])
+        u = x - c * q
     else:
         e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
         z_peak = math.log((alpha + 1.0) / (2.0 * alpha))
@@ -208,15 +214,6 @@ def _best_responses(
     return responses, best, interior, candidates
 
 
-def _utility_against(q: float, cost: float, alpha: float,
-                     opposition_power: float) -> float:
-    """Unit-prize utility x(q) - cost * q against fixed opposition."""
-    if q == 0.0:
-        return 0.0
-    x = q**alpha / (q**alpha + opposition_power)
-    return x - cost * q
-
-
 def _check_inputs(cost: float, opposition: float, prize: float) -> float:
     """The unit-prize cost cost / prize of checked inputs; the ValueError
     of core.unit_costs when it leaves the float range."""
@@ -243,17 +240,19 @@ def best_response_proportional(
     """
     cost = _check_inputs(cost, opposition, prize)
     ratio = opposition / cost
-    root = (math.sqrt(ratio) if _TINY <= ratio < math.inf
-            else math.sqrt(opposition) / math.sqrt(cost))
-    candidate = root - opposition
-    if candidate <= 0.0:
+    q = (math.sqrt(ratio) - opposition if _TINY <= ratio < math.inf
+         else math.sqrt(opposition) * (1.0 / math.sqrt(cost)
+                                       - math.sqrt(opposition)))
+    if q <= 0.0:
         return BestResponseResult((0.0,), 0.0, None)
-    if candidate == math.inf:
+    if q == math.inf:
         raise _beyond_range(cost, opposition, 1.0)
-    u = _utility_against(candidate, cost, 1.0, opposition)
+    total = q + opposition
+    u = (q / total if total < math.inf
+         else 1.0 / (1.0 + opposition / q)) - cost * q
     # the interior optimum only touches 0 utility when it is itself 0
-    maximizers = (0.0, candidate) if u <= TIE_TOL else (candidate,)
-    return BestResponseResult(maximizers, prize * max(u, 0.0), candidate)
+    maximizers = (0.0, q) if u <= TIE_TOL else (q,)
+    return BestResponseResult(maximizers, prize * max(u, 0.0), q)
 
 
 def best_response_eos(
@@ -310,47 +309,3 @@ def grid_oracle(
         u = prize * power / (power + opposition_power) - cost * q
     k = int(np.argmax(u))
     return BestResponseResult((float(q[k]),), float(u[k]), None)
-
-
-def convexity_profile(
-    cost: float, alpha: float, opposition_power: float, prize: float = 1.0
-) -> float:
-    """Locate the convex-to-concave crossover of utility along q.
-
-    Scans the sign of the second difference of utility and bisects on it;
-    returns the market share at the sign change, which equals
-    (alpha - 1) / (2 * alpha) up to the difference stencil's resolution.
-    """
-    if alpha <= 1:
-        raise ValueError("utility is globally concave at alpha = 1")
-    if opposition_power <= 0:
-        raise ValueError("opposition power must be positive")
-    a = opposition_power
-    cost = cost / prize  # the unit-prize game has the same crossover
-
-    def share(q: float) -> float:
-        return q**alpha / (q**alpha + a)
-
-    def second_difference(q: float) -> float:
-        h = 1e-4 * max(q, 1e-6)
-        u = _utility_against
-        return (
-            u(q + h, cost, alpha, a)
-            - 2.0 * u(q, cost, alpha, a)
-            + u(q - h, cost, alpha, a)
-        )
-
-    # bracket the crossover between a clearly convex and a clearly concave q
-    lo = (a * 1e-6) ** (1.0 / alpha)  # share ~ 1e-6, convex side
-    hi = a ** (1.0 / alpha)  # share 1/2 > (alpha-1)/(2 alpha), concave side
-    if second_difference(lo) <= 0 or second_difference(hi) >= 0:
-        raise ArithmeticError("convexity crossover not bracketed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if second_difference(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * hi:
-            break
-    return share(0.5 * (lo + hi))

@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 import numpy as np
@@ -156,36 +157,12 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _concentration_block(spec: ContestSpec, investments) -> dict:
-    report = concentration(spec, investments)
-    return {
-        "participant_count": report.participant_count,
-        "hhi": report.hhi,
-        "top_k_shares": list(report.top_k_shares),
-        "rent_dissipation": report.rent_dissipation,
-    }
-
-
-def _certificate_block(cert: eos.EquilibriumCertificate,
-                       labels: list[str], prize: float) -> dict:
-    return {
-        "certified": cert.certified,
-        "tolerance": cert.tolerance * prize,
-        "worst_slack": cert.worst_slack,
-        "miners": [
-            {
-                "label": labels[v.miner],
-                "investment": v.investment,
-                "utility": v.utility,
-                "best_utility": v.best_utility,
-                "slack": v.slack,
-                "best_responses": list(v.best_responses),
-                "marginal": v.marginal,
-                "note": v.note,
-            }
-            for v in cert.verdicts
-        ],
-    }
+def _certificate_summary(cert: eos.EquilibriumCertificate,
+                         prize: float) -> dict:
+    """The certificate's verdict, tolerance and worst slack, all in caller
+    units."""
+    return {"certified": cert.certified, "tolerance": cert.tolerance * prize,
+            "worst_slack": cert.worst_slack}
 
 
 def _equilibria(spec: ContestSpec, tol: float):
@@ -219,12 +196,8 @@ def cmd_solve(args) -> int:
         "utilities": [v.utility for v in cert.verdicts],
         **fields,
         "marginal": [labels[i] for i in cert.marginal_miners],
-        "certificate": {
-            "certified": cert.certified,
-            "tolerance": cert.tolerance * spec.prize,
-            "worst_slack": cert.worst_slack,
-        },
-        "concentration": _concentration_block(spec, eq.investments),
+        "certificate": _certificate_summary(cert, spec.prize),
+        "concentration": asdict(concentration(spec, eq.investments)),
     } for eq, cert, fields in found]
     doc = {"schema_version": SCHEMA_VERSION, "scenario": echo,
            "model": model, "equilibria": blocks}
@@ -255,7 +228,13 @@ def cmd_verify(args) -> int:
         "scenario": echo,
         "profile": q.tolist(),
         "verdict": "certified" if cert.certified else "rejected",
-        "certificate": _certificate_block(cert, labels, spec.prize),
+        "certificate": {
+            **_certificate_summary(cert, spec.prize),
+            # a MinerVerdict's fields, its label in place of its index
+            "miners": [dict(zip(("label", *eos.MinerVerdict._fields[1:]),
+                                (labels[v.miner], *v[1:])))
+                       for v in cert.verdicts],
+        },
     }
     _emit_document(doc, args.out)
     if args.out:

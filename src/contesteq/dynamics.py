@@ -7,14 +7,14 @@ Ties between abstaining and the interior optimum break toward the
 incumbent action. A miner facing zero aggregate opposition has no best
 response and keeps its incumbent investment.
 
-Termination: a round whose largest spend change max_i c_i * |dq_i|, a
-share of the prize, is at most convergence_tol ends the run; the terminal
-profile is then certified at eos.CERT_TOL and the trajectory is
-"converged" only if it certifies, else "cycle_detected" (a length-1
-revisit). The update is deterministic, so a round ending bit for bit on
-an earlier round's profile is a cycle too. Neither rule is in investment
-units: costs x k give the same run with profiles / k. Nothing here claims
-convergence in general; statuses report what happened.
+Termination: a quiet round, whose largest spend change max_i c_i * |dq_i|,
+a share of the prize, is at most convergence_tol, ends the run as
+"converged" when its profile certifies at verify_tol; a quiet round that
+does not certify goes on. The update is deterministic, so a round ending
+bit for bit on an earlier round's profile ends the run as
+"cycle_detected". Neither rule is in investment units: costs x k give the
+same run with profiles / k. Nothing here claims convergence in general;
+statuses report what happened.
 
 Prize boundary: run_dynamics takes the unit-prize costs from
 core.unit_costs once and updates with the prize-free kernels of
@@ -55,7 +55,8 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Profiles after each round (index 0 is the initial profile)."""
+    """Profiles after each round (index 0 is the initial profile), and the
+    terminal profile's certificate when the last round was quiet."""
 
     profiles: tuple[tuple[float, ...], ...]
     status: str  # converged | max_rounds_exhausted | cycle_detected
@@ -102,7 +103,7 @@ def run_dynamics(
         raise ValueError("initial profile must have a positive investment")
     snapshots = [tuple(q.tolist())]
     seen = set(snapshots)  # tuples compare and hash -0.0 as 0.0
-    status, certificate = "max_rounds_exhausted", None
+    status = "max_rounds_exhausted"
     for _ in range(config.max_rounds):  # max_rounds >= 1
         # miner i faces the updated miners before it (a running prefix) and
         # the incumbents after it (suffix sums): O(1), nothing cancelled
@@ -130,9 +131,11 @@ def run_dynamics(
                 q[i], p = target, response
             before += p
         snapshots.append(tuple(q.tolist()))
-        if not moved:  # no spend change c_i * |dq_i| above tol
-            certificate = verify_equilibrium(spec, q, verify_tol)
-            status = "converged" if certificate.certified else "cycle_detected"
+        # a quiet round: no spend change c_i * |dq_i| above tol
+        certificate = None if moved else verify_equilibrium(spec, q,
+                                                            verify_tol)
+        if certificate is not None and certificate.certified:
+            status = "converged"
             break
         if snapshots[-1] in seen:
             status = "cycle_detected"

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .best_response import _aggregate_beyond_range
 from .core import (ContestSpec, ProfileLike, as_investments, shares,
                    unit_costs)
 from .roots import bisect_monotone
@@ -140,6 +141,8 @@ def foc_residual(spec: ContestSpec, profile: ProfileLike) -> tuple[float, ...]:
     residual_i = x_i(q) - max(1 - (c_i/prize) * sum_j q_j, 0); the profile
     is an equilibrium iff every residual is 0. Requires every miner to face
     positive aggregate opposition (at least two positive investments).
+    ValueError when costs / prize or the total investment leaves the float
+    range.
     """
     if spec.alpha != 1.0:
         raise ValueError("FOC residuals are for the proportional model")
@@ -148,7 +151,9 @@ def foc_residual(spec: ContestSpec, profile: ProfileLike) -> tuple[float, ...]:
         raise ValueError(
             "some miner faces zero aggregate opposition; residuals undefined"
         )
-    total = float(q.sum())
-    x = np.asarray(shares(spec, q).shares)
-    target = np.maximum(1.0 - np.asarray(spec.costs) / spec.prize * total, 0.0)
-    return tuple((x - target).tolist())
+    with np.errstate(over="ignore"):  # c_i * total = inf has target 0
+        total = float(q.sum())
+        if total == math.inf:
+            raise _aggregate_beyond_range(q, 1.0)
+        target = np.maximum(1.0 - unit_costs(spec) * total, 0.0)
+    return tuple((np.asarray(shares(spec, q).shares) - target).tolist())

@@ -5,7 +5,8 @@ response comes from the scalar oracle, one miner at a time: O(n^2) per
 certificate or dynamics round. The alpha > 1 best response bisects on the
 marginal utility in q. The per-set solve nests scalar bisections: one on
 the power scale s, and one per member and step to invert the share weight
-f. Kept only as test-time cross-checks.
+f. The convexity crossover of utility comes from a bisection on the sign
+of its second difference. Kept only as test-time cross-checks.
 """
 
 import math
@@ -26,6 +27,15 @@ def masked_opposition(q: np.ndarray, alpha: float, i: int) -> float:
     if alpha == 1.0:
         return float(q[mask].sum())
     return float((q[mask] ** alpha).sum())
+
+
+def utility_against(q: float, cost: float, alpha: float,
+                    opposition_power: float) -> float:
+    """Unit-prize utility x(q) - cost * q against fixed opposition."""
+    if q == 0.0:
+        return 0.0
+    x = q**alpha / (q**alpha + opposition_power)
+    return x - cost * q
 
 
 def entry_cost(alpha: float, opposition: float) -> float:
@@ -61,7 +71,7 @@ def reference_best_response_eos(cost: float, alpha: float,
         q_hi *= 2.0
     q_star = bisect_monotone(marg, q_lo, q_hi, f_tol=1e-13 * cost,
                              x_tol=1e-15 * q_hi, max_iter=200).root
-    u_star = br._utility_against(q_star, cost, alpha, a)
+    u_star = utility_against(q_star, cost, alpha, a)
     if u_star > br.TIE_TOL:
         return br.BestResponseResult((q_star,), u_star, q_star)
     if u_star >= -br.TIE_TOL:
@@ -94,7 +104,7 @@ def reference_verify(spec, profile, tol=CERT_TOL,
             miner=i, investment=float(q[i]), utility=v * u[i],
             best_utility=v * best, slack=v * (u[i] - best),
             best_responses=result.optimal_investments,
-            marginal=(candidate is not None and abs(br._utility_against(
+            marginal=(candidate is not None and abs(utility_against(
                 candidate, cost, spec.alpha, a)) <= 1e-9),
         ))
     certified = all(verdict.slack >= -tol * v for verdict in verdicts)
@@ -104,7 +114,8 @@ def reference_verify(spec, profile, tol=CERT_TOL,
 
 def reference_dynamics(spec, config, verify_tol=CERT_TOL):
     """run_dynamics with a masked opposition per update; returns the
-    status and the terminal profile."""
+    status and the terminal profile. A quiet round ends the run only if
+    its profile certifies."""
     costs = unit_costs(spec).tolist()
     q = as_investments(spec, config.initial_profile).copy()
     seen = {tuple(q.tolist())}  # tuples compare -0.0 equal to 0.0
@@ -119,9 +130,9 @@ def reference_dynamics(spec, config, verify_tol=CERT_TOL):
                        key=lambda m: (abs(m - q[i]), m))
         spend = max(c * abs(new - old)
                     for c, new, old in zip(costs, q, previous))
-        if spend <= config.convergence_tol:
-            certified = verify_equilibrium(spec, q, verify_tol).certified
-            return ("converged" if certified else "cycle_detected"), q
+        if (spend <= config.convergence_tol
+                and verify_equilibrium(spec, q, verify_tol).certified):
+            return "converged", q
         key = tuple(q.tolist())
         if key in seen:
             return "cycle_detected", q
@@ -177,3 +188,33 @@ def reference_solve_for_set(spec, participant_set, tol=CERT_TOL):
         shares=shares(spec, q).shares, power_scale=float(s_star),
         certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations, residual=float(residual))
+
+
+def convexity_crossover(cost: float, alpha: float,
+                        opposition_power: float) -> float:
+    """The share at which unit-prize utility turns from convex to concave
+    in q (alpha > 1), by bisection on the sign of its second difference;
+    (alpha - 1) / (2 * alpha) up to the stencil's resolution."""
+    a = opposition_power
+
+    def second_difference(q: float) -> float:
+        h = 1e-4 * max(q, 1e-6)
+        return (utility_against(q + h, cost, alpha, a)
+                - 2.0 * utility_against(q, cost, alpha, a)
+                + utility_against(q - h, cost, alpha, a))
+
+    # bracket the crossover between a clearly convex and a clearly concave q
+    lo = (a * 1e-6) ** (1.0 / alpha)  # share ~ 1e-6, convex side
+    hi = a ** (1.0 / alpha)  # share 1/2 > (alpha-1)/(2 alpha), concave side
+    if not second_difference(lo) > 0 > second_difference(hi):
+        raise ArithmeticError("convexity crossover not bracketed")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if second_difference(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    q = 0.5 * (lo + hi)
+    return q**alpha / (q**alpha + a)

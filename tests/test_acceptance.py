@@ -18,7 +18,6 @@ from contesteq import (
     best_response_eos,
     best_response_proportional,
     cli,
-    convexity_profile,
     enumerate_equilibria,
     foc_residual,
     grid_oracle,
@@ -29,6 +28,7 @@ from contesteq import (
     solve_equilibrium,
     threshold_function,
 )
+from scalar_oracle import convexity_crossover
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 
@@ -271,7 +271,7 @@ def test_criterion_10_derivative_grid():
 def test_criterion_11_inflection_shares():
     worst = 0.0
     for alpha in (1.1, 1.5, 2.0):
-        found = convexity_profile(1.0, alpha, 1.0)
+        found = convexity_crossover(1.0, alpha, 1.0)
         expected = (alpha - 1) / (2 * alpha)
         worst = max(worst, abs(found - expected))
     check(11, "utility inflection sits at share (alpha-1)/(2 alpha)",

@@ -8,11 +8,11 @@ from contesteq import (
     NoBestResponse,
     best_response_eos,
     best_response_proportional,
-    convexity_profile,
     grid_oracle,
 )
-from contesteq.best_response import TIE_TOL, _utility_against
-from scalar_oracle import entry_cost, reference_best_response_eos
+from contesteq.best_response import TIE_TOL
+from scalar_oracle import (convexity_crossover, entry_cost,
+                           reference_best_response_eos, utility_against)
 
 
 class TestProportionalClosedForm:
@@ -146,7 +146,7 @@ class TestAgainstTheBisectionOracle:
         if ref.interior_candidate is None:
             u = -math.inf
         else:
-            u = _utility_against(ref.interior_candidate, cost, alpha, a)
+            u = utility_against(ref.interior_candidate, cost, alpha, a)
         if abs(abs(u) - TIE_TOL) > TIE_TOL:
             assert decision(fast) == decision(ref), u
         if None not in (fast.interior_candidate, ref.interior_candidate):
@@ -225,21 +225,25 @@ class TestGridOracle:
 
 
 class TestConvexityProfile:
+    """The numeric crossover of the test oracle against the closed form
+    (alpha - 1) / (2 * alpha) that the kernel's abstention screen uses."""
+
     @pytest.mark.parametrize("alpha, expected", [
         (2.0, 0.25),
         (1.5, 1 / 6),
         (1.01, 0.01 / 2.02),
     ])
     def test_crossover_share(self, alpha, expected):
-        found = convexity_profile(1.0, alpha, 1.0)
+        found = convexity_crossover(1.0, alpha, 1.0)
         assert found == pytest.approx(expected, abs=1e-4)
         assert expected == pytest.approx((alpha - 1) / (2 * alpha), abs=1e-15)
 
     def test_crossover_is_opposition_invariant(self):
-        a_small = convexity_profile(1.0, 1.5, 0.1)
-        a_large = convexity_profile(1.0, 1.5, 5.0)
+        a_small = convexity_crossover(1.0, 1.5, 0.1)
+        a_large = convexity_crossover(1.0, 1.5, 5.0)
         assert a_small == pytest.approx(a_large, abs=1e-4)
 
     def test_alpha_one_rejected(self):
-        with pytest.raises(ValueError):
-            convexity_profile(1.0, 1.0, 1.0)
+        # utility is concave everywhere at alpha = 1: no convex side
+        with pytest.raises(ArithmeticError, match="not bracketed"):
+            convexity_crossover(1.0, 1.0, 1.0)

@@ -151,6 +151,35 @@ class TestSolve:
         assert json.loads(json.dumps(doc)) == doc
 
 
+    def test_document_keys(self, scenario_harmonic, scenario_deterrence,
+                           tmp_path):
+        # a field added to a library record must not change a document
+        summary = ["certified", "tolerance", "worst_slack"]
+        concentration = ["participant_count", "hhi", "top_k_shares",
+                         "rent_dissipation"]
+        head = ["participants", "investments", "shares", "utilities"]
+        tail = ["marginal", "certificate", "concentration"]
+        for scenario, fields in ((scenario_harmonic,
+                                  ["c_star", "total_investment"]),
+                                 (scenario_deterrence, ["power_scale"])):
+            result = tmp_path / "r.json"
+            cli.main(["solve", "--scenario", scenario, "--out", str(result)])
+            doc = json.loads(result.read_text())
+            block = doc["equilibria"][0]
+            assert list(block) == head + fields + tail
+            assert list(block["certificate"]) == summary
+            assert list(block["concentration"]) == concentration
+            assert list(doc["concentration"]) == concentration
+        check = tmp_path / "c.json"
+        cli.main(["verify", "--scenario", scenario_deterrence,
+                  "--profile", str(result), "--out", str(check)])
+        certificate = json.loads(check.read_text())["certificate"]
+        assert list(certificate) == summary + ["miners"]
+        assert list(certificate["miners"][0]) == [
+            "label", "investment", "utility", "best_utility", "slack",
+            "best_responses", "marginal", "note"]
+
+
 class TestVerify:
     def test_solve_output_certifies(self, scenario_harmonic, tmp_path):
         result = tmp_path / "r.json"

@@ -106,6 +106,30 @@ class TestProportionalDynamics:
         assert [k * q for q in t.terminal] == list(base.terminal)
 
 
+class TestQuietRound:
+    """A round that barely moves ends the run only if its profile
+    certifies; a cycle is always an exact revisit."""
+
+    def test_quiet_uncertified_round_goes_on(self):
+        # round 1 ends near (1e-20, 1e-10), a spend change within 1e-10 of
+        # the prize, which is no equilibrium and once ended as a cycle
+        t = run_dynamics(ContestSpec((1.0, 1.0)),
+                         DynamicsConfig((1e-40, 1e-40)))
+        assert (t.status, t.rounds_used) == ("converged", 7)
+        assert t.terminal == pytest.approx((0.25, 0.25), rel=1e-12)
+        assert t.profiles[1] == pytest.approx((1e-20, 1e-10), rel=1e-9)
+
+    def test_quiet_round_before_an_aggregate_overflow(self):
+        # the equilibrium's total 1 / c* = 2.5e308 is no float; the quiet
+        # first round once ended the run as a cycle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="aggregate power leaves "
+                               "the float range"):
+                run_dynamics(ContestSpec((2e-309, 2e-309)),
+                             DynamicsConfig((1.0, 1.0)))
+
+
 class TestFloatRange:
     def test_overflowing_power_is_named(self):
         with warnings.catch_warnings():

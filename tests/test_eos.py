@@ -25,10 +25,9 @@ from contesteq import (
 )
 from contesteq import best_response as br
 from contesteq import eos
-from contesteq.best_response import _utility_against
 from contesteq.core import unit_costs
 from scalar_oracle import (reference_invert_share_weight,
-                           reference_solve_for_set)
+                           reference_solve_for_set, utility_against)
 
 #: the smallest alpha above 1
 ALPHA_ULP = 1.0000000000000002
@@ -557,8 +556,8 @@ class TestVerify:
         opposition = float((np.asarray(eq.investments) ** 1.1).sum())
         result = best_response_eos(1.5, 1.1, opposition)
         assert result.interior_candidate is not None
-        interior = _utility_against(result.interior_candidate, 1.5, 1.1,
-                                    opposition)
+        interior = utility_against(result.interior_candidate, 1.5, 1.1,
+                                   opposition)
         assert interior == pytest.approx(-1.94e-3, rel=1e-2)
 
     def test_cross_module_proportional_equilibrium(self):

@@ -28,6 +28,7 @@ from contesteq import (
     cli,
     concentration,
     enumerate_equilibria,
+    foc_residual,
     invert_share_weight,
     run_dynamics,
     share_weight,
@@ -220,6 +221,26 @@ class TestFloatRange:
         assert one[0][0] == result.optimal_investments
         assert one[1][0] == result.optimal_utility
 
+    def test_closed_form_near_the_float_maximum(self):
+        # sqrt(a) / sqrt(c) = 1.83e308 overflows and q + a = 1.83e308 too,
+        # though the response 8.26e307 and its utility are floats
+        one = no_warning(lambda: br._best_responses(
+            np.asarray([3e-309]), 1.0, np.asarray([1e308])))
+        result = no_warning(lambda: best_response_proportional(3e-309, 1e308))
+        expected = ((8.257418583505535e+307,), 0.20455488498966776)
+        assert (one[0][0], float(one[1][0])) == expected
+        assert (result.optimal_investments,
+                result.optimal_utility) == expected
+
+    def test_foc_residual_names_the_float_range(self):
+        with pytest.raises(ValueError, match=UNIT_GAME_RANGE):
+            no_warning(lambda: foc_residual(
+                ContestSpec((1e300, 1e300), prize=1e-10), (1.0, 1.0)))
+        with pytest.raises(ValueError, match="aggregate power leaves the "
+                           "float range"):
+            no_warning(lambda: foc_residual(ContestSpec((1.0, 1.0)),
+                                            (1e308, 1e308)))
+
     def test_closed_form_beyond_the_float_range_is_named(self):
         # sqrt(1e300 / 1e-317) is past the float maximum
         with pytest.raises(ValueError, match="best response leaves the "
@@ -378,6 +399,8 @@ class TestFloatRangeProperty:
             cost, opposition, spec.prize))
         if spec.alpha == 1.0:
             answer_or_named_range(lambda: solve_equilibrium(spec))
+            if np.count_nonzero(q) >= 2:  # else residuals are undefined
+                answer_or_named_range(lambda: foc_residual(spec, q))
         else:
             answer_or_named_range(lambda: best_response_eos(
                 cost, spec.alpha, opposition, spec.prize))
