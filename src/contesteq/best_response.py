@@ -146,7 +146,7 @@ def _best_responses(
     opposition has no best response: an empty set and best utility +inf.
 
     At alpha = 1 the closed form runs on whole arrays, with the float
-    operations of best_response_proportional: where a / c is no normal
+    operations of the scalar _closed_form: where a / c is no normal
     float, q = sqrt(a / c) - a is taken as sqrt(a) * (1/sqrt(c) - sqrt(a)),
     which keeps its digits and overflows only with q, and where q + a
     overflows, the share q / (q + a) as 1 / (1 + a / q). At alpha > 1 the
@@ -238,21 +238,26 @@ def best_response_proportional(
     positive. The maximizer max(0, sqrt(prize*R/c) - R) hits 0 exactly when
     R >= prize / c. Raises ValueError when it leaves the float range.
     """
-    cost = _check_inputs(cost, opposition, prize)
+    q, u = _closed_form(_check_inputs(cost, opposition, prize), opposition)
+    # the interior optimum only touches 0 utility when it is itself 0
+    maximizers = (q,) if u > TIE_TOL else (0.0, q) if q else (0.0,)
+    return BestResponseResult(maximizers, prize * max(u, 0.0), q or None)
+
+
+def _closed_form(cost: float, opposition: float) -> tuple[float, float]:
+    """max(0, sqrt(R/c) - R) at opposition R > 0 and its unit-prize utility,
+    in the floats of _best_responses; ValueError beyond the float range."""
     ratio = opposition / cost
     q = (math.sqrt(ratio) - opposition if _TINY <= ratio < math.inf
          else math.sqrt(opposition) * (1.0 / math.sqrt(cost)
                                        - math.sqrt(opposition)))
     if q <= 0.0:
-        return BestResponseResult((0.0,), 0.0, None)
+        return 0.0, 0.0
     if q == math.inf:
         raise _beyond_range(cost, opposition, 1.0)
     total = q + opposition
-    u = (q / total if total < math.inf
-         else 1.0 / (1.0 + opposition / q)) - cost * q
-    # the interior optimum only touches 0 utility when it is itself 0
-    maximizers = (0.0, q) if u <= TIE_TOL else (q,)
-    return BestResponseResult(maximizers, prize * max(u, 0.0), q)
+    return q, (q / total if total < math.inf
+               else 1.0 / (1.0 + opposition / q)) - cost * q
 
 
 def best_response_eos(

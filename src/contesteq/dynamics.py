@@ -83,6 +83,11 @@ class Trajectory:
                 yield rnd, miner, q, x[miner], self.spec.prize * u[miner]
 
 
+def _nearest(incumbent: float, low: float, high: float) -> float:
+    """The end of low <= high nearer the incumbent, low on equal distance."""
+    return high if abs(high - incumbent) < abs(low - incumbent) else low
+
+
 def run_dynamics(
     spec: ContestSpec,
     config: DynamicsConfig,
@@ -97,30 +102,35 @@ def run_dynamics(
     power beyond the float range raises a ValueError that names it.
     """
     costs, alpha = unit_costs(spec).tolist(), spec.alpha
-    tol = config.convergence_tol
-    q = as_investments(spec, config.initial_profile)
-    if not np.any(q > 0):
+    tol, closed_form, inf = config.convergence_tol, br._closed_form, np.inf
+    q = as_investments(spec, config.initial_profile).tolist()
+    if not any(qi > 0 for qi in q):
         raise ValueError("initial profile must have a positive investment")
-    snapshots = [tuple(q.tolist())]
+    snapshots = [tuple(q)]
     seen = set(snapshots)  # tuples compare and hash -0.0 as 0.0
     status = "max_rounds_exhausted"
     for _ in range(config.max_rounds):  # max_rounds >= 1
         # miner i faces the updated miners before it (a running prefix) and
         # the incumbents after it (suffix sums): O(1), nothing cancelled
-        power = br._powers(q, alpha)
+        power = br._powers(np.asarray(q), alpha)
         with np.errstate(over="ignore"):  # an inf sum is named per update
             after = br._sums_after(power).tolist()
         power, before, moved = power.tolist(), 0.0, False
         for i, (cost, qi, p) in enumerate(zip(costs, snapshots[-1], power)):
             opposition = before + after[i]
             if opposition != 0.0:  # else no best response: keep the incumbent
-                if opposition + p == np.inf:  # the state miner i faces
+                if opposition + p == inf:  # the state miner i faces
                     raise br._aggregate_beyond_range(q, alpha)
-                result = br._best_response(cost, alpha, opposition)
-                target = min(result.optimal_investments,
-                             key=lambda m: (abs(m - qi), m))
-                response = float(br._powers(target, alpha))
-                if opposition + response == np.inf:  # the state it leaves
+                if alpha == 1.0:  # the closed form in plain floats
+                    interior, u = closed_form(cost, opposition)
+                    response = target = (interior if u > br.TIE_TOL else
+                                         _nearest(qi, 0.0, interior))
+                else:
+                    maximizers = br._best_response(
+                        cost, alpha, opposition).optimal_investments
+                    target = _nearest(qi, maximizers[0], maximizers[-1])
+                    response = float(br._powers(target, alpha))
+                if opposition + response == inf:  # the state it leaves
                     raise br._aggregate_beyond_range(q, alpha)
                 gain = ((response / (response + opposition) - cost * target)
                         - (p / (p + opposition) - cost * qi))
@@ -130,7 +140,7 @@ def run_dynamics(
                 moved = moved or cost * abs(target - qi) > tol
                 q[i], p = target, response
             before += p
-        snapshots.append(tuple(q.tolist()))
+        snapshots.append(tuple(q))
         # a quiet round: no spend change c_i * |dq_i| above tol
         certificate = None if moved else verify_equilibrium(spec, q,
                                                             verify_tol)

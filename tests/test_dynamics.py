@@ -13,6 +13,7 @@ from contesteq import (
     verify_equilibrium,
 )
 from contesteq import best_response as br
+from contesteq.dynamics import _nearest
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 
@@ -163,9 +164,9 @@ class TestGainCheck:
     never do, so only a wrong oracle reaches it."""
 
     @staticmethod
-    def run_with_oracle(monkeypatch, investments):
-        monkeypatch.setattr(br, "_best_response", lambda cost, alpha, a:
-                            br.BestResponseResult(investments, 0.0))
+    def run_with_oracle(monkeypatch, q, u):
+        # an alpha = 1 update takes the scalar closed form, not the oracles
+        monkeypatch.setattr(br, "_closed_form", lambda cost, a: (q, u))
         # (0.25, 0.25) is the interior equilibrium of costs (1, 1)
         return run_dynamics(ContestSpec((1.0, 1.0)),
                             DynamicsConfig((0.25, 0.25)))
@@ -173,11 +174,44 @@ class TestGainCheck:
     def test_abstaining_from_the_interior_optimum_raises(self, monkeypatch):
         with pytest.raises(ArithmeticError, match="lowered miner 0's utility"
                            " by 0.25 of the prize"):
-            self.run_with_oracle(monkeypatch, (0.0,))
+            self.run_with_oracle(monkeypatch, 0.0, 0.0)
 
     def test_keeping_the_incumbent_passes(self, monkeypatch):
-        t = self.run_with_oracle(monkeypatch, (0.25,))
+        t = self.run_with_oracle(monkeypatch, 0.25, 0.25)
         assert (t.status, t.rounds_used) == ("converged", 1)
+
+
+nonnegative = st.floats(0.0, 1e308)
+
+
+@st.composite
+def maximizer_sets(draw):
+    """A maximizer set as the oracles give it, (m,) or (0.0, m), or any
+    ascending pair, and an incumbent anywhere, at an end, or midway, where
+    the two ends are equally far whenever the midpoint is exact."""
+    high = draw(nonnegative)
+    low = draw(st.just(0.0) | st.just(high) | st.floats(0.0, high))
+    incumbent = draw(nonnegative | st.sampled_from(
+        [low, high, low + (high - low) / 2]))
+    return ((low,) if low == high else (low, high)), incumbent
+
+
+class TestTiePick:
+    """The update takes the maximizer nearest the incumbent, the smaller
+    one on equal distance, in two comparisons."""
+
+    @settings(max_examples=500)
+    @given(maximizer_sets())
+    def test_equals_the_keyed_min(self, case):
+        maximizers, incumbent = case
+        expected = min(maximizers, key=lambda m: (abs(m - incumbent), m))
+        assert _nearest(incumbent, maximizers[0],
+                        maximizers[-1]).hex() == expected.hex()
+
+    def test_nearer_end_wins_and_equal_distance_takes_the_smaller(self):
+        assert _nearest(0.25, 0.0, 0.5) == 0.0
+        assert _nearest(0.3, 0.0, 0.5) == 0.5
+        assert _nearest(0.2, 0.0, 0.5) == 0.0
 
 
 class TestEosDynamics:

@@ -340,6 +340,74 @@ class TestFloatRange:
 
 
 @st.composite
+def closed_form_cases(draw):
+    """(cost, opposition) log-uniform over 1e-323 to 1e308, with
+    knife-edges: cost * opposition within 1e-5 of 1, where the utility
+    (1 - sqrt(c*a))**2 is within 1e-12 of 0 or of the tie threshold; a / c
+    below the normal range or beyond the float range; and a response near
+    the float maximum, where it or q + a overflows."""
+    edge = draw(st.sampled_from(["free", "tie", "subnormal", "overflow",
+                                 "float max"]))
+    if edge == "tie":
+        cost = 10.0 ** draw(st.floats(-308.0, 308.0))
+        d = 10.0 ** draw(st.floats(-17.0, -5.0))
+        return cost, (1.0 + draw(st.sampled_from([-d, d]))) / cost
+    if edge == "float max":  # sqrt(a / c) = q + a near 1e308
+        log_a = draw(st.floats(307.0, 308.25))
+        log_c = log_a - 2.0 * draw(st.floats(308.1, 308.5))
+        return 10.0 ** log_c, 10.0 ** log_a
+    log_ratio = draw({"free": st.floats(-631.0, 631.0),
+                      "subnormal": st.floats(-631.0, -307.66),
+                      "overflow": st.floats(308.26, 631.0)}[edge])
+    log_c = draw(st.floats(max(-323.0, -323.0 - log_ratio),
+                           min(308.0, 308.0 - log_ratio)))
+    return 10.0 ** log_c, 10.0 ** (log_c + log_ratio)
+
+
+def bits(*values):
+    return [float(v).hex() for v in values]
+
+
+class TestClosedFormProperty:
+    """The scalar closed form, best_response_proportional and the alpha = 1
+    lane of _best_responses are one computation: equal bit for bit,
+    errors included, with no warning."""
+
+    @settings(max_examples=600)
+    @given(closed_form_cases())
+    def test_scalar_oracle_and_vector_lane_agree(self, case):
+        cost, opposition = case
+
+        def outcome(call):
+            try:
+                return no_warning(call)
+            except ValueError as exc:
+                assert str(exc).startswith("best response leaves the float "
+                                           "range"), exc
+                return str(exc)
+
+        scalar = outcome(lambda: br._closed_form(cost, opposition))
+        result = outcome(lambda: best_response_proportional(cost, opposition))
+        vector = outcome(lambda: br._best_responses(
+            np.asarray([cost]), 1.0, np.asarray([opposition])))
+        if isinstance(scalar, str):
+            assert result == vector == scalar
+            return
+        (q, u), (sets, best, interior, candidates) = scalar, vector
+        assert bits(*result.optimal_investments) == bits(*sets[0])
+        assert bits(result.optimal_utility) == bits(best[0])
+        if q == 0.0:  # the miner abstains
+            assert (sets[0], result.interior_candidate) == ((0.0,), None)
+            assert bits(u) == bits(0.0)
+            assert math.isnan(interior[0]) and math.isnan(candidates[0])
+            return
+        assert bits(q, u) == bits(candidates[0], interior[0])
+        assert bits(result.interior_candidate) == bits(q)
+        assert result.optimal_investments == ((0.0, q) if u <= br.TIE_TOL
+                                              else (q,))
+
+
+@st.composite
 def float_range_cases(draw):
     """Costs, prize, a profile with zeros and an opposition, all
     log-uniform over 1e-300 to 1e300, for 2 to 5 miners."""
