@@ -12,22 +12,31 @@ decreasing function of s and the share sum crosses 1 at most once. In
 share-gap coordinates, y = 1 - x and u = log s, every gap is increasing
 and convex in u, so a safeguarded Newton on u solves the gap sum, with an
 inner monotone Newton per member for the gaps and their slopes; this
-nails the unique candidate for S. Candidates are then certified
-miner-by-miner against the exact best-response oracle; only certified
+nails the unique candidate for S. A candidate is certified against the
+exact best-response oracle for every miner at once; only certified
 profiles are equilibria.
 
-Prize boundary: verify_equilibrium and solve_for_set take the unit-prize
-costs c_i / prize from core.unit_costs once, on entry, and work on them
-with prize-free kernels, so every tolerance is relative to the prize;
-reported utilities and slacks are multiplied by the prize on the way out.
-enumerate_equilibria leaves the map to those two.
+Window theorem: a solved set S with unit-prize scale s is an equilibrium
+iff every member has c_i*s <= lambda = alpha*f(1 - 1/alpha) (S solves on
+the branch) and every outsider has c_j*s >= kappa =
+(alpha-1)**((alpha-1)/alpha) / alpha (abstaining is a best response);
+lambda = alpha**(1/alpha) * kappa. enumerate_equilibria walks the
+cost-sorted miners on it; the README's "Numerical contracts" has the
+proofs of the theorem and of the walk's cuts.
+
+Prize boundary: verify_equilibrium, solve_for_set and enumerate_equilibria
+take the unit-prize costs c_i / prize from core.unit_costs once, on entry,
+and work on them with prize-free kernels, so every tolerance is relative
+to the prize; reported utilities and slacks are multiplied by the prize on
+the way out.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations, groupby, product
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -42,6 +51,9 @@ CERT_TOL = 1e-9
 SUM_TOL = 1e-13
 #: most miners enumerate_equilibria accepts
 MAX_MINERS = 30
+#: floor of the outsider screen's margin on the certificate's absolute
+#: rounding (x prize), so that tol = 0 is still decided by the certificate
+SCREEN_FLOOR = 1e-12
 
 
 class MinerVerdict(NamedTuple):
@@ -224,13 +236,25 @@ def solve_for_set(
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
-    s_idx, alpha = _validate_set(spec, participant_set), spec.alpha
+    s_idx = _validate_set(spec, participant_set)
+    solution = _solve(spec, s_idx)
+    return None if solution is None else _candidate(spec, s_idx, solution,
+                                                    tol)
+
+
+def _solve(spec: ContestSpec, s_idx: tuple[int, ...],
+           unit: Optional[list[float]] = None
+           ) -> Optional[tuple[float, list[float], int, float]]:
+    """solve_for_set's solve, without the profile and its certificate:
+    (s, the members' log share gaps, iterations, residual), or None.
+    unit: the spec's unit-prize costs, when the caller has them."""
+    alpha = spec.alpha
     members = [spec.costs[i] for i in s_idx]
-    if min(members) / max(members) < (
-            (len(s_idx) - 1) * (alpha - 1.0) * (1.0 - 1e-12)):
+    if _below_ratio_bound(min(members), max(members), len(s_idx), alpha):
         return None
-    unit = unit_costs(spec)
-    costs = unit[list(s_idx)].tolist()
+    if unit is None:
+        unit = unit_costs(spec).tolist()
+    costs = [unit[i] for i in s_idx]
     s_max = alpha * share_weight(1.0 - 1.0 / alpha, alpha) / max(costs)
     if s_max == math.inf:
         raise ValueError(f"power scale s_max leaves the float range (largest "
@@ -260,9 +284,22 @@ def solve_for_set(
             alpha, z_end)
         iterations, u = iterations + 1, nxt
         gap = math.fsum(map(math.exp, z)) - (len(s_idx) - 1)
-    s_star = math.exp(u) if iterations else s_max
+    return (math.exp(u) if iterations else s_max), z, iterations, abs(gap)
+
+
+def _below_ratio_bound(lo: float, hi: float, k: int, alpha: float) -> bool:
+    """lo/hi < (k - 1)(alpha - 1) at a relative margin of 1e-12: a set of
+    k miners with these extreme costs has shares above 1 at s_max."""
+    return lo / hi < (k - 1) * (alpha - 1.0) * (1.0 - 1e-12)
+
+
+def _candidate(spec: ContestSpec, s_idx: tuple[int, ...],
+               solution: tuple[float, list[float], int, float],
+               tol: float) -> EosEquilibrium:
+    """The profile of a solved set, with its full certificate."""
+    s_star, z, iterations, residual = solution
     q = np.zeros(spec.n)
-    q[list(s_idx)] = (-np.expm1(z)) ** (1.0 / alpha) * s_star
+    q[list(s_idx)] = (-np.expm1(z)) ** (1.0 / spec.alpha) * s_star
     return EosEquilibrium(
         participants=s_idx,
         investments=tuple(q.tolist()),
@@ -270,8 +307,21 @@ def solve_for_set(
         power_scale=float(s_star),
         certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations,
-        residual=abs(gap),
+        residual=residual,
     )
+
+
+def _outsider_floor(alpha: float, tol: float) -> float:
+    """kappa*(1 - delta), delta = (2*tol + SCREEN_FLOOR)*alpha/(alpha - 1),
+    or 0 (no screen) where delta is not in [0, 1). At m = c*s an outsider
+    earns (kappa - m)*r with r = q/s = (alpha-1)**(1/alpha), the response
+    that ties abstaining at m = kappa. Below the floor that exceeds
+    2*tol + SCREEN_FLOOR, so the set fails its certificate by more than
+    tol."""
+    delta = (2.0 * tol + SCREEN_FLOOR) * alpha / (alpha - 1.0)
+    if not 0.0 <= delta < 1.0:
+        return 0.0
+    return (alpha - 1.0) ** ((alpha - 1.0) / alpha) / alpha * (1.0 - delta)
 
 
 def _relabelled(spec: ContestSpec, rep: EosEquilibrium,
@@ -299,33 +349,94 @@ def _relabelled(spec: ContestSpec, rep: EosEquilibrium,
 
 def enumerate_equilibria(spec: ContestSpec,
                          tol: float = CERT_TOL) -> list[EosEquilibrium]:
-    """All certified equilibria with participant sets up to the cap.
+    """All certified equilibria with participant sets up to the cap, in
+    size order, lexicographic within a size.
 
-    Iterates subsets in size order, lexicographic within a size. Since the
-    whole game is invariant under relabelling equal-cost miners, only one
-    representative per cost multiset is solved and certified; certified
-    representatives are relabelled onto every index subset with that
-    multiset, which certifies each copy by symmetry. alpha > 2 yields an
-    empty list (the cap drops below 2); absence is reported, not proven.
+    A depth-first walk over the cost-sorted miners on the window theorem
+    (module docstring). It solves one set per cost multiset, the one with
+    the lowest indices, cuts the supersets of a set that does not solve,
+    adds no member dearer than the cheapest outsider times
+    lambda / _outsider_floor, and certifies only the solved sets whose
+    cheapest outsider passes _outsider_floor. Each certified set is copied
+    onto every index set with its cost multiset, certified by symmetry.
+    Where a unit cost lies outside [1e-150, 1e150] the screen and the
+    reach cut are off, so every solved set is certified and a
+    certificate's float-range error is raised as before.
+    alpha > 2 yields []: two participants would each need a share of
+    1 - 1/alpha > 1/2, and a lone one has no best response.
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
     if spec.n > MAX_MINERS:
         raise ValueError(
             f"n={spec.n} exceeds the enumeration cap {MAX_MINERS}")
-    cap = participation_cap(spec.alpha)
-    out: list[EosEquilibrium] = []
-    solved: dict[tuple[float, ...], Optional[EosEquilibrium]] = {}
-    for k in range(2, min(cap, spec.n) + 1):
-        for subset in combinations(range(spec.n), k):
-            key = tuple(sorted([spec.costs[i] for i in subset]))
-            if key not in solved:
-                solved[key] = solve_for_set(spec, subset, tol)
-            rep = solved[key]
-            if rep is None or not rep.certificate.certified:
-                continue
-            out.append(rep if rep.participants == subset
+    alpha, n = spec.alpha, spec.n
+    top = min(participation_cap(alpha), n)
+    order = sorted(range(n), key=lambda i: (spec.costs[i], i))
+    costs = [spec.costs[i] for i in order]
+    # if no two miners pass the cost-ratio bound, no set does
+    if top < 2 or all(_below_ratio_bound(lo, hi, 2, alpha)
+                      for lo, hi in zip(costs, costs[1:])):
+        return []
+    unit = unit_costs(spec)
+    # inside these unit costs s <= 1e150 and s**alpha <= 1e300: no
+    # certificate the screen skips could have overflowed
+    floor = (_outsider_floor(alpha, tol)
+             if 1e-150 <= unit.min() and unit.max() <= 1e150 else 0.0)
+    unit = unit.tolist()
+    ranked = [unit[i] for i in order]
+    reach = (alpha * share_weight(1.0 - 1.0 / alpha, alpha) / floor
+             if floor else math.inf)
+    # (set, its solve or the error the solve raised), in walk order
+    solved: list[tuple[tuple[int, ...], object]] = []
+
+    def walk(members: list[int], start: int, gap: Optional[float]) -> None:
+        # members: positions in `order`; gap: the unit cost of the first
+        # position skipped so far, the cheapest outsider of every set below
+        for p in range(start, n):
+            if p > start and costs[p] == costs[p - 1]:
+                continue  # p - 1 skipped, p taken: an index-set copy
+            outsider = ranked[start] if gap is None and p > start else gap
+            if outsider is not None and ranked[p] > outsider * reach:
+                break
+            chosen = members + [p]
+            if len(chosen) >= 2:
+                s_idx = tuple(sorted(order[i] for i in chosen))
+                try:
+                    solution = _solve(spec, s_idx, unit)
+                except ValueError as exc:
+                    solved.append((s_idx, exc))
+                    continue
+                if solution is None:
+                    continue
+                cheapest = (outsider if outsider is not None
+                            else ranked[p + 1] if p + 1 < n else math.inf)
+                # the residual widens c*s to what the certificate sees
+                if cheapest * solution[0] * (1.0 + solution[3]) >= floor:
+                    solved.append((s_idx, solution))
+            if len(chosen) < top:
+                walk(chosen, p + 1, outsider)
+
+    walk([], 0, None)
+    classes = {c: list(tied)
+               for c, tied in groupby(order, key=spec.costs.__getitem__)}
+    out = []
+    # certified in output order, so the first error raised is the one an
+    # exhaustive search in that order meets
+    for s_idx, solution in sorted(solved, key=lambda item: (len(item[0]),
+                                                             item[0])):
+        if isinstance(solution, ValueError):
+            raise solution
+        rep = _candidate(spec, s_idx, solution, tol)
+        if not rep.certificate.certified:
+            continue
+        multiset = Counter(spec.costs[i] for i in s_idx)
+        for pick in product(*(combinations(classes[c], k)
+                              for c, k in multiset.items())):
+            subset = tuple(sorted(chain.from_iterable(pick)))
+            out.append(rep if subset == s_idx
                        else _relabelled(spec, rep, subset))
+    out.sort(key=lambda eq: (len(eq.participants), eq.participants))
     return out
 
 

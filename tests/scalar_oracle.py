@@ -5,19 +5,22 @@ response comes from the scalar oracle, one miner at a time: O(n^2) per
 certificate or dynamics round. The alpha > 1 best response bisects on the
 marginal utility in q. The per-set solve nests scalar bisections: one on
 the power scale s, and one per member and step to invert the share weight
-f. The convexity crossover of utility comes from a bisection on the sign
+f. Enumeration solves and certifies every subset up to the participation
+cap. The convexity crossover of utility comes from a bisection on the sign
 of its second difference. Kept only as test-time cross-checks.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from contesteq import best_response as br
 from contesteq.core import as_investments, shares, unit_costs, unit_utilities
-from contesteq.eos import (CERT_TOL, SUM_TOL, EosEquilibrium,
-                           EquilibriumCertificate, MinerVerdict, _validate_set,
-                           share_weight, verify_equilibrium)
+from contesteq.eos import (CERT_TOL, MAX_MINERS, SUM_TOL, EosEquilibrium,
+                           EquilibriumCertificate, MinerVerdict, _relabelled,
+                           _validate_set, participation_cap, share_weight,
+                           solve_for_set, verify_equilibrium)
 from contesteq.roots import bisect_monotone
 
 
@@ -188,6 +191,32 @@ def reference_solve_for_set(spec, participant_set, tol=CERT_TOL):
         shares=shares(spec, q).shares, power_scale=float(s_star),
         certificate=verify_equilibrium(spec, q, tol),
         iterations=iterations, residual=float(residual))
+
+
+def brute_force_equilibria(spec, tol=CERT_TOL, solve=solve_for_set):
+    """enumerate_equilibria by exhaustion: every subset up to the cap in
+    size order, lexicographic within a size, each cost multiset solved
+    once, through `solve`, and certified on its first index set; the
+    certified ones are relabelled onto the later index sets."""
+    if spec.alpha <= 1.0:
+        raise ValueError("use the proportional solver for alpha = 1")
+    if spec.n > MAX_MINERS:
+        raise ValueError(
+            f"n={spec.n} exceeds the enumeration cap {MAX_MINERS}")
+    cap = participation_cap(spec.alpha)
+    out = []
+    solved = {}
+    for k in range(2, min(cap, spec.n) + 1):
+        for subset in combinations(range(spec.n), k):
+            key = tuple(sorted([spec.costs[i] for i in subset]))
+            if key not in solved:
+                solved[key] = solve(spec, subset, tol)
+            rep = solved[key]
+            if rep is None or not rep.certificate.certified:
+                continue
+            out.append(rep if rep.participants == subset
+                       else _relabelled(spec, rep, subset))
+    return out
 
 
 def convexity_crossover(cost: float, alpha: float,

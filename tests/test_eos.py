@@ -26,7 +26,8 @@ from contesteq import (
 from contesteq import best_response as br
 from contesteq import eos
 from contesteq.core import unit_costs
-from scalar_oracle import (reference_invert_share_weight,
+from scalar_oracle import (brute_force_equilibria,
+                           reference_invert_share_weight,
                            reference_solve_for_set, utility_against)
 
 #: the smallest alpha above 1
@@ -271,9 +272,8 @@ class TestNewtonSolve:
     @given(set_specs(max_n=7))
     def test_enumeration_finds_the_oracle_sets(self, spec):
         found = {eq.participants for eq in enumerate_equilibria(spec)}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eos, "solve_for_set", reference_solve_for_set)
-            expected = {eq.participants for eq in enumerate_equilibria(spec)}
+        expected = {eq.participants for eq in brute_force_equilibria(
+            spec, solve=reference_solve_for_set)}
         for members in found ^ expected:
             new = solve_for_set(spec, members)
             old = reference_solve_for_set(spec, members)
@@ -396,23 +396,18 @@ class TestEnumerate:
     @settings(max_examples=60)
     @given(cost_class_specs())
     def test_copies_certified_by_symmetry_match_a_fresh_check(self, spec):
-        counts = Counter()
+        verified = []
 
-        def counted(name, fn, outcome=lambda result: True):
-            def wrapper(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                counts[name] += bool(outcome(result))
-                return result
-            return wrapper
+        def recording(spec, profile, tol=eos.CERT_TOL):
+            verified.append(tuple(sorted(
+                spec.costs[i] for i, q in enumerate(profile) if q > 0)))
+            return verify_equilibrium(spec, profile, tol)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eos, "verify_equilibrium",
-                       counted("verify", eos.verify_equilibrium))
-            mp.setattr(eos, "solve_for_set",
-                       counted("solved", eos.solve_for_set,
-                               lambda result: result is not None))
+            mp.setattr(eos, "verify_equilibrium", recording)
             eqs = enumerate_equilibria(spec)
-        assert counts["verify"] == counts["solved"]
+        # one certificate per cost multiset: a relabelled copy never gets one
+        assert len(verified) == len(set(verified))
 
         by_multiset = Counter()
         for eq in eqs:
@@ -433,6 +428,7 @@ class TestEnumerate:
                                      for i in eq.participants))] += 1
         # every index set of a certified cost multiset is reported once
         for key, found in by_multiset.items():
+            assert key in verified
             assert found == sum(
                 1 for s in combinations(range(spec.n), len(key))
                 if tuple(sorted(spec.costs[i] for i in s)) == key)
@@ -535,6 +531,152 @@ class TestEnumerate:
                                 f"{(a, b)} in {eq.participants}"
                             )
         assert seen > 0  # the battery actually certified some equilibria
+
+
+@st.composite
+def window_specs(draw):
+    """Up to 8 miners, with a tolerance: equal-cost ties, near-equal and
+    10-fold costs, alpha - 1 from 1e-9 up, alpha = 2 and 1 + 1/k exactly,
+    and the deterrence games, whose abstainer sits on the knife-edge."""
+    family = draw(st.sampled_from(["ties", "near", "spread", "deterrence"]))
+    if family == "deterrence":
+        game = deterrence_spec(draw(st.integers(2, 4)))
+        alpha, costs = game.alpha, list(game.costs)
+    else:
+        alpha = draw(st.one_of(
+            st.just(2.0), st.integers(1, 8).map(lambda k: 1.0 + 1.0 / k),
+            log_uniform(1e-9, 1.0).map(lambda d: 1.0 + d)))
+        n = draw(st.integers(2, 8))
+        if family == "ties":
+            levels = draw(st.lists(st.floats(1.0, 1.5), min_size=1,
+                                   max_size=3))
+            costs = [draw(st.sampled_from(levels)) for _ in range(n)]
+        else:
+            top = 0.05 if family == "near" else 10.0
+            costs = [1.0 + top * draw(st.floats(0.0, 1.0)) for _ in range(n)]
+    prize = draw(log_uniform(2.0**-6, 2.0**6))
+    spec = ContestSpec(tuple(prize * c for c in costs), alpha, prize)
+    return spec, draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+
+
+def abstention_scale(alpha):
+    """kappa: an outsider at c*s = kappa ties abstaining with its best
+    interior response."""
+    return (alpha - 1.0) ** ((alpha - 1.0) / alpha) / alpha
+
+
+def branch_end_scale(alpha):
+    """lambda: a member at c*s = lambda holds the share 1 - 1/alpha."""
+    return alpha * share_weight(1.0 - 1.0 / alpha, alpha)
+
+
+class TestWindowSearch:
+    """enumerate_equilibria's window-cut walk against exhaustion, and the
+    soundness of its two cuts. A set the screen rejects, or one with a
+    member beyond the reach, must fail its certificate by more than tol:
+    the band keeps 2*tol, so the screen never rests on the certificate's
+    last digits."""
+
+    @settings(max_examples=150)
+    @given(window_specs())
+    def test_same_equilibria_as_the_brute_force_oracle(self, case):
+        spec, tol = case
+        assert (repr(enumerate_equilibria(spec, tol))
+                == repr(brute_force_equilibria(spec, tol)))
+
+    @pytest.mark.parametrize("spec", [
+        # the certificate of a set the screen would reject overflows
+        ContestSpec((1.842953215592486e-76, 8.479932464724076e-76,
+                     2.0604395733965947e-76, 3.1322283692857123e-77,
+                     1.4036831357482383e-76), alpha=1.3699081068578074,
+                     prize=4.560763788300967e+223),
+        # s_max overflows on every pair; the first in size order is (0, 1)
+        ContestSpec((3.506715e-318, 1.082459e-317, 1.767243e-318),
+                    alpha=1.3164520874044903),
+        ContestSpec((1e300, 2e300, 3e300), alpha=1.5, prize=1e-10),
+        # no unit-prize game, but no pair within the cost-ratio bound
+        ContestSpec((1e-300, 1e100), alpha=1.5, prize=1e100),
+    ])
+    def test_same_float_range_outcome_as_the_brute_force_oracle(self, spec):
+        def outcome(search):
+            try:
+                return repr(search(spec))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        assert outcome(enumerate_equilibria) == outcome(
+            brute_force_equilibria)
+
+    @settings(max_examples=200)
+    @given(alpha=log_uniform(1e-9, 1.0).map(lambda d: 1.0 + d),
+           tol=st.sampled_from([0.0, 1e-9, 1e-6]), w=st.floats(0.0, 3.0),
+           prize=log_uniform(2.0**-6, 2.0**6))
+    def test_a_screened_set_fails_its_certificate_by_more_than_tol(
+            self, alpha, tol, w, prize):
+        # an equal-cost pair and an outsider at c_o*s = kappa*(1 - w*delta)
+        floor = eos._outsider_floor(alpha, tol)
+        kappa = abstention_scale(alpha)
+        delta = (2.0 * tol + eos.SCREEN_FLOOR) * alpha / (alpha - 1.0)
+        assume(delta * max(w, 1.0) < 1.0)
+        assert floor == pytest.approx(kappa * (1.0 - delta), rel=1e-12)
+        pair = ContestSpec((prize,) * 3, alpha, prize)
+        s = eos._solve(pair, (0, 1))[0]
+        c_o = prize * kappa * (1.0 - w * delta) / s
+        spec = ContestSpec((prize, prize, c_o), alpha, prize)
+        s_star, _, _, residual = eos._solve(spec, (0, 1))
+        screened = unit_costs(spec)[2] * s_star * (1.0 + residual) < floor
+        if abs(w - 1.0) > 1e-3:
+            assert screened == (w > 1.0)
+        if screened:
+            cert = solve_for_set(spec, (0, 1), tol).certificate
+            assert not cert.certified
+            assert cert.verdicts[2].slack < -2.0 * tol * prize
+
+    @settings(max_examples=120)
+    @given(alpha_index=st.integers(2, 4), w=st.floats(0.0, 3.0),
+           tol=st.sampled_from([0.0, 1e-9, 1e-6]),
+           extra=st.lists(st.floats(0.5, 2.0), max_size=2),
+           prize=log_uniform(2.0**-6, 2.0**6), data=st.data())
+    def test_no_set_with_a_member_beyond_the_reach_certifies(
+            self, alpha_index, w, tol, extra, prize, data):
+        # a block of m unit-cost members on the branch end, c*s = lambda,
+        # at alpha = m/(m-1), or an alpha = 1 + 1/m pair at the ratio
+        # bound, and an outsider at w*delta inside or beyond the reach
+        m = alpha_index
+        if data.draw(st.booleans()):
+            alpha, members = m / (m - 1), [1.0] * m
+        else:
+            alpha = 1.0 + 1.0 / m
+            ratio = (share_weight(1 - 1 / alpha, alpha)
+                     / share_weight(1 / alpha, alpha))
+            members = [1.0, ratio * (1.0 - 1e-12)]
+        floor = eos._outsider_floor(alpha, tol)
+        assume(floor > 0.0)
+        delta = 1.0 - floor / abstention_scale(alpha)
+        assume(w * delta < 1.0)
+        outsider = (max(members) * abstention_scale(alpha) * (1.0 - w * delta)
+                    / branch_end_scale(alpha))
+        costs = members + [outsider] + extra
+        spec = ContestSpec(tuple(prize * c for c in costs), alpha, prize)
+        unit = unit_costs(spec)
+        reach = branch_end_scale(alpha) / floor
+        beyond = 0
+        for k in range(2, min(participation_cap(alpha), spec.n) + 1):
+            for s in combinations(range(spec.n), k):
+                rest = [i for i in range(spec.n) if i not in s]
+                if not rest:
+                    continue
+                o = min(rest, key=lambda i: unit[i])
+                if max(unit[list(s)]) <= unit[o] * reach:
+                    continue
+                eq = solve_for_set(spec, s, tol)
+                if eq is not None:
+                    beyond += 1
+                    assert not eq.certificate.certified
+                    assert (eq.certificate.verdicts[o].slack
+                            < -2.0 * tol * prize)
+        if w > 1.0 + 1e-3 and not extra:
+            assert beyond  # the members' own set is beyond the reach
 
 
 class TestVerify:
