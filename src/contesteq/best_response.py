@@ -188,11 +188,10 @@ def _best_responses(
         u = x - c * q
     else:
         e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
-        z_peak = math.log((alpha + 1.0) / (2.0 * alpha))
-        log_peak = (1.0 - 1.0 / e) * math.log((alpha - 1.0) / (2.0 * alpha))
+        z_peak, log_f_peak = _peak(alpha)
         log_a = np.log(a)
         log_t = (alpha * np.log(c) + log_a - alpha * log_alpha) / (alpha + 1.0)
-        inside = log_t < log_peak + z_peak  # log f at its peak
+        inside = log_t < log_f_peak
         live, log_t = live[inside], log_t[inside].tolist()
         q, u = [], []
         for i, la, z in zip(live.tolist(), log_a[inside].tolist(),
@@ -212,6 +211,30 @@ def _best_responses(
     interior[live] = u
     candidates[live] = q
     return responses, best, interior, candidates
+
+
+def _peak(alpha: float) -> tuple[float, float]:
+    """z = log(1 - x) and log f at the peak of the f of _best_responses."""
+    z_peak = math.log((alpha + 1.0) / (2.0 * alpha))
+    return z_peak, ((1.0 - 1.0 / (0.5 * (alpha + 1.0)))
+                    * math.log((alpha - 1.0) / (2.0 * alpha)) + z_peak)
+
+
+def _abstains(cost: float, alpha: float, opposition_power: float) -> bool:
+    """A screen: True only if the unit-prize best response against finite
+    opposition power a > 0 is exactly (0.0,) at this cost and any larger:
+    c*a >= 1 + 1e-9 at alpha = 1, else a log target 1e-9 past the peak. The
+    margin dominates rounding (u = 2**-53). At alpha = 1, c*a > 1 + 0.9e-9,
+    so _closed_form rounds sqrt(a/c) to at most a*(1+u)**1.5/sqrt(c*a) < a,
+    or on its other branch 1/sqrt(c) to at most (1+u)**2/sqrt(c) <
+    (1-u)*sqrt(a): q <= 0 either way. At alpha > 1 the logs, numpy's and
+    math's, are within 4 ulps of logs under 745, so with the roundings a
+    finite log target moves under 2e-12, and the exact one grows with c."""
+    if alpha == 1.0:
+        return cost * opposition_power >= 1.0 + 1e-9
+    log_t = (alpha * math.log(cost) + math.log(opposition_power)
+             - alpha * math.log(alpha)) / (alpha + 1.0)
+    return _peak(alpha)[1] + 1e-9 <= log_t < math.inf
 
 
 def _check_inputs(cost: float, opposition: float, prize: float) -> float:

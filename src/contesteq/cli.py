@@ -328,16 +328,19 @@ def load_dynamics_config(path: str, spec: ContestSpec,
         rng = np.random.default_rng(0 if seed is None else seed)
         scale = spec.prize / float(np.mean(spec.costs))
         initial = (scale * 10.0 ** rng.uniform(-2.0, 0.0, spec.n)).tolist()
-    if not isinstance(initial, list) or len(initial) != spec.n:
+    if (not isinstance(initial, list) or len(initial) != spec.n
+            or not all(type(q) in (int, float) for q in initial)):
         raise ScenarioError(
             f"{path}: 'initial' must be \"random\" or an array of "
             f"{spec.n} numbers"
         )
-    return DynamicsConfig(
-        initial_profile=tuple(initial),
-        max_rounds=int(data.get("max_rounds", 10_000)),
-        convergence_tol=float(data.get("convergence_tol", 1e-10)),
-    )
+    max_rounds = data.get("max_rounds", 10_000)
+    if type(max_rounds) not in (int, float) or max_rounds % 1:  # 1e4 counts
+        raise ScenarioError(f"{path}: 'max_rounds' must be a whole number")
+    tol = data.get("convergence_tol", 1e-10)
+    if type(tol) not in (int, float):  # nor is a bool
+        raise ScenarioError(f"{path}: 'convergence_tol' must be a number")
+    return DynamicsConfig(tuple(initial), int(max_rounds), float(tol))
 
 
 def cmd_dynamics(args) -> int:

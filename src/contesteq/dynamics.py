@@ -16,6 +16,11 @@ bit for bit on an earlier round's profile ends the run as
 same run with profiles / k. Nothing here claims convergence in general;
 statuses report what happened.
 
+Idle miners (q = 0 at the round start) sit in segments facing one
+opposition. A segment whose cheapest miner passes best_response._abstains
+(margin 1e-9 over rounding) gets the exact 0.0 without an update, and idle
+zeros add exactly: O(active + segments) Python work a round, bit for bit.
+
 Prize boundary: run_dynamics takes the unit-prize costs from
 core.unit_costs once and updates with the prize-free kernels of
 best_response, so its checks are relative to the prize; Trajectory.rows()
@@ -25,6 +30,8 @@ reports utilities in caller units.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from numbers import Integral
 from typing import Iterator, Optional
 
 import numpy as np
@@ -47,6 +54,9 @@ class DynamicsConfig:
             self, "initial_profile",
             tuple(float(q) for q in self.initial_profile),
         )
+        if (isinstance(self.max_rounds, bool)
+                or not isinstance(self.max_rounds, Integral)):
+            raise TypeError("max_rounds must be an int")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if not self.convergence_tol > 0:
@@ -106,40 +116,49 @@ def run_dynamics(
     q = as_investments(spec, config.initial_profile).tolist()
     if not any(qi > 0 for qi in q):
         raise ValueError("initial profile must have a positive investment")
+    active = [i for i, qi in enumerate(q) if qi]
     snapshots = [tuple(q)]
     seen = set(snapshots)  # tuples compare and hash -0.0 as 0.0
     status = "max_rounds_exhausted"
     for _ in range(config.max_rounds):  # max_rounds >= 1
-        # miner i faces the updated miners before it (a running prefix) and
-        # the incumbents after it (suffix sums): O(1), nothing cancelled
-        power = br._powers(np.asarray(q), alpha)
-        with np.errstate(over="ignore"):  # an inf sum is named per update
-            after = br._sums_after(power).tolist()
-        power, before, moved = power.tolist(), 0.0, False
-        for i, (cost, qi, p) in enumerate(zip(costs, snapshots[-1], power)):
-            opposition = before + after[i]
-            if opposition != 0.0:  # else no best response: keep the incumbent
-                if opposition + p == inf:  # the state miner i faces
-                    raise br._aggregate_beyond_range(q, alpha)
-                if alpha == 1.0:  # the closed form in plain floats
-                    interior, u = closed_form(cost, opposition)
-                    response = target = (interior if u > br.TIE_TOL else
-                                         _nearest(qi, 0.0, interior))
-                else:
-                    maximizers = br._best_response(
-                        cost, alpha, opposition).optimal_investments
-                    target = _nearest(qi, maximizers[0], maximizers[-1])
-                    response = float(br._powers(target, alpha))
-                if opposition + response == inf:  # the state it leaves
-                    raise br._aggregate_beyond_range(q, alpha)
-                gain = ((response / (response + opposition) - cost * target)
-                        - (p / (p + opposition) - cost * qi))
-                if gain < -1e-12:
-                    raise ArithmeticError(f"best response lowered miner {i}'s"
-                                          f" utility by {-gain} of the prize")
-                moved = moved or cost * abs(target - qi) > tol
-                q[i], p = target, response
-            before += p
+        # after[k]: the active powers from active miner k on, np.cumsum-wise
+        power = br._powers(np.asarray([q[i] for i in active]), alpha).tolist()
+        after = [*accumulate(reversed(power))][::-1] + [0.0]
+        starts, ends = [0] + [i + 1 for i in active], active + [len(q)]
+        before, moved, active = 0.0, False, []
+        for k, (lo, hi) in enumerate(zip(starts, ends)):
+            opposition = before + after[k]  # the whole segment's
+            if (lo < hi and 0.0 < opposition < inf  # else updates keep/raise
+                    and br._abstains(min(costs[lo:hi]), alpha, opposition)):
+                q[lo:hi], lo = [0.0] * (hi - lo), hi  # their 0.0, on -0.0 too
+            for i in range(lo, min(hi + 1, len(q))):
+                cost, qi, p = costs[i], q[i], power[k] if i == hi else 0.0
+                opposition = before + (after[k + 1] if i == hi else after[k])
+                if opposition != 0.0:  # else no best response: keep it
+                    if opposition + p == inf:  # the state miner i faces
+                        raise br._aggregate_beyond_range(q, alpha)
+                    if alpha == 1.0:  # the closed form in plain floats
+                        interior, u = closed_form(cost, opposition)
+                        response = target = (interior if u > br.TIE_TOL else
+                                             _nearest(qi, 0.0, interior))
+                    else:
+                        maximizers = br._best_response(
+                            cost, alpha, opposition).optimal_investments
+                        target = _nearest(qi, maximizers[0], maximizers[-1])
+                        response = float(br._powers(target, alpha))
+                    if opposition + response == inf:  # the state it leaves
+                        raise br._aggregate_beyond_range(q, alpha)
+                    gain = (response / (response + opposition) - cost * target
+                            - (p / (p + opposition) - cost * qi))
+                    if gain < -1e-12:
+                        raise ArithmeticError(
+                            f"best response lowered miner {i}'s utility by "
+                            f"{-gain} of the prize")
+                    moved = moved or cost * abs(target - qi) > tol
+                    q[i], p = target, response
+                before += p
+                if q[i]:  # active in the next round
+                    active.append(i)
         snapshots.append(tuple(q))
         # a quiet round: no spend change c_i * |dq_i| above tol
         certificate = None if moved else verify_equilibrium(spec, q,

@@ -3,11 +3,13 @@
 Each miner's opposition is summed over a fresh O(n) mask and each best
 response comes from the scalar oracle, one miner at a time: O(n^2) per
 certificate or dynamics round. The alpha > 1 best response bisects on the
-marginal utility in q. The per-set solve nests scalar bisections: one on
-the power scale s, and one per member and step to invert the share weight
-f. Enumeration solves and certifies every subset up to the participation
-cap. The convexity crossover of utility comes from a bisection on the sign
-of its second difference. Kept only as test-time cross-checks.
+marginal utility in q. The full-scan dynamics sends every miner through
+the update in every round, idle ones included. The per-set solve nests
+scalar bisections: one on the power scale s, and one per member and step
+to invert the share weight f. Enumeration solves and certifies every
+subset up to the participation cap. The convexity crossover of utility
+comes from a bisection on the sign of its second difference. Kept only
+as test-time cross-checks.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 
 from contesteq import best_response as br
 from contesteq.core import as_investments, shares, unit_costs, unit_utilities
+from contesteq.dynamics import Trajectory, _nearest
 from contesteq.eos import (CERT_TOL, MAX_MINERS, SUM_TOL, EosEquilibrium,
                            EquilibriumCertificate, MinerVerdict, _relabelled,
                            _validate_set, participation_cap, share_weight,
@@ -141,6 +144,65 @@ def reference_dynamics(spec, config, verify_tol=CERT_TOL):
             return "cycle_detected", q
         seen.add(key)
     return "max_rounds_exhausted", q
+
+
+def full_scan_dynamics(spec, config, verify_tol=CERT_TOL):
+    """run_dynamics sending every miner through the update in every round,
+    idle miners included: the round loop before idle segments were
+    screened, kept so that run_dynamics can be required to equal it, repr
+    for repr."""
+    costs, alpha = unit_costs(spec).tolist(), spec.alpha
+    tol, closed_form, inf = config.convergence_tol, br._closed_form, np.inf
+    q = as_investments(spec, config.initial_profile).tolist()
+    if not any(qi > 0 for qi in q):
+        raise ValueError("initial profile must have a positive investment")
+    snapshots = [tuple(q)]
+    seen = set(snapshots)  # tuples compare and hash -0.0 as 0.0
+    status = "max_rounds_exhausted"
+    for _ in range(config.max_rounds):  # max_rounds >= 1
+        # miner i faces the updated miners before it (a running prefix) and
+        # the incumbents after it (suffix sums): O(1), nothing cancelled
+        power = br._powers(np.asarray(q), alpha)
+        with np.errstate(over="ignore"):  # an inf sum is named per update
+            after = br._sums_after(power).tolist()
+        power, before, moved = power.tolist(), 0.0, False
+        for i, (cost, qi, p) in enumerate(zip(costs, snapshots[-1], power)):
+            opposition = before + after[i]
+            if opposition != 0.0:  # else no best response: keep the incumbent
+                if opposition + p == inf:  # the state miner i faces
+                    raise br._aggregate_beyond_range(q, alpha)
+                if alpha == 1.0:  # the closed form in plain floats
+                    interior, u = closed_form(cost, opposition)
+                    response = target = (interior if u > br.TIE_TOL else
+                                         _nearest(qi, 0.0, interior))
+                else:
+                    maximizers = br._best_response(
+                        cost, alpha, opposition).optimal_investments
+                    target = _nearest(qi, maximizers[0], maximizers[-1])
+                    response = float(br._powers(target, alpha))
+                if opposition + response == inf:  # the state it leaves
+                    raise br._aggregate_beyond_range(q, alpha)
+                gain = ((response / (response + opposition) - cost * target)
+                        - (p / (p + opposition) - cost * qi))
+                if gain < -1e-12:
+                    raise ArithmeticError(f"best response lowered miner {i}'s"
+                                          f" utility by {-gain} of the prize")
+                moved = moved or cost * abs(target - qi) > tol
+                q[i], p = target, response
+            before += p
+        snapshots.append(tuple(q))
+        # a quiet round: no spend change c_i * |dq_i| above tol
+        certificate = None if moved else verify_equilibrium(spec, q,
+                                                            verify_tol)
+        if certificate is not None and certificate.certified:
+            status = "converged"
+            break
+        if snapshots[-1] in seen:
+            status = "cycle_detected"
+            break
+        seen.add(snapshots[-1])
+    return Trajectory(profiles=tuple(snapshots), status=status, spec=spec,
+                      certificate=certificate)
 
 
 def reference_invert_share_weight(target: float, alpha: float) -> float:

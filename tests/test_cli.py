@@ -363,6 +363,63 @@ class TestDynamics:
         ) == cli.EXIT_PARSE
 
 
+class TestDynamicsConfigFields:
+    """Each malformed config field exits 2 with a message naming it; these
+    once ended in a traceback or were silently coerced."""
+
+    @staticmethod
+    def run(scenario, tmp_path, fields):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"initial": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, '
+                          '0.5, 0.5, 0.5], ' + fields + "}")
+        return cli.main(["dynamics", "--scenario", scenario, "--config",
+                         str(config), "--out", str(tmp_path / "t.csv")])
+
+    def assert_parse_error(self, scenario, tmp_path, capsys, fields, name):
+        assert self.run(scenario, tmp_path, fields) == cli.EXIT_PARSE
+        assert f"'{name}'" in capsys.readouterr().err
+
+    def test_max_rounds_beyond_the_float_range(self, scenario_harmonic,
+                                               tmp_path, capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                '"max_rounds": 1e400', "max_rounds")
+
+    def test_null_max_rounds(self, scenario_harmonic, tmp_path, capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                '"max_rounds": null', "max_rounds")
+
+    def test_fractional_max_rounds(self, scenario_harmonic, tmp_path, capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                '"max_rounds": 2.7', "max_rounds")
+
+    def test_boolean_max_rounds(self, scenario_harmonic, tmp_path, capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                '"max_rounds": true', "max_rounds")
+
+    def test_string_max_rounds(self, scenario_harmonic, tmp_path, capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                '"max_rounds": "5"', "max_rounds")
+
+    def test_string_convergence_tol(self, scenario_harmonic, tmp_path,
+                                    capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                '"convergence_tol": "1e-3"',
+                                "convergence_tol")
+
+    def test_boolean_in_initial(self, scenario_harmonic, tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json",
+                            {"initial": [0.5] * 9 + [True]})
+        assert cli.main(["dynamics", "--scenario", scenario_harmonic,
+                         "--config", str(config), "--out",
+                         str(tmp_path / "t.csv")]) == cli.EXIT_PARSE
+        assert "'initial'" in capsys.readouterr().err
+
+    def test_integral_float_max_rounds_is_accepted(self, scenario_harmonic,
+                                                   tmp_path):
+        assert self.run(scenario_harmonic, tmp_path,
+                        '"max_rounds": 1e4') == cli.EXIT_OK
+
+
 class TestBestResponse:
     def test_oracle_cross_check_agrees(self, scenario_harmonic, tmp_path):
         result = tmp_path / "r.json"
