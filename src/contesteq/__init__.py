@@ -14,7 +14,6 @@ from .core import (
     MarketShares,
     concentration,
     marginal_share,
-    reduce_exponents,
     shares,
     utility,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "marginal_share",
     "pairwise_bound_check",
     "participation_cap",
-    "reduce_exponents",
     "run_dynamics",
     "share_weight",
     "shares",

@@ -93,6 +93,13 @@ def _beyond_range(cost: float, opposition_power: float,
                       f"alpha {alpha!r})")
 
 
+def _maximizers(q: float, u: float) -> tuple[float, ...]:
+    """Maximizers of a miner whose interior candidate q earns unit-prize
+    utility u: q above TIE_TOL, abstention and a positive q within it."""
+    return ((q,) if u > TIE_TOL
+            else (0.0, q) if u >= -TIE_TOL and q > 0.0 else (0.0,))
+
+
 def _best_response(cost: float, alpha: float,
                    opposition_power: float) -> BestResponseResult:
     """Unit-prize best response; raises NoBestResponse at zero opposition."""
@@ -145,20 +152,17 @@ def _best_responses(
     and the candidate (nan where there is none). A miner facing zero
     opposition has no best response: an empty set and best utility +inf.
 
-    At alpha = 1 the closed form runs on whole arrays, with the float
-    operations of the scalar _closed_form: where a / c is no normal
-    float, q = sqrt(a / c) - a is taken as sqrt(a) * (1/sqrt(c) - sqrt(a)),
-    which keeps its digits and overflows only with q, and where q + a
-    overflows, the share q / (q + a) as 1 / (1 + a / q). At alpha > 1 the
-    first-order condition alpha*x**(1-1/alpha)*(1-x)**(1+1/alpha) =
-    c*a**(1/alpha), raised to the power alpha/(alpha+1), is f(x) = t at
-    exponent e = (alpha+1)/2, with log t = (alpha*log c + log a -
-    alpha*log alpha)/(alpha+1). f peaks at the convexity crossover
-    x = (alpha-1)/(2*alpha): a target at or above the peak leaves no
-    stationary point on the concave side, and the miner abstains; one
-    _share_gaps call past the peak solves the others. The candidate
-    q = (a*x/(1-x))**(1/alpha) earns x*(1 - alpha*(1 - x)). ValueError
-    when it leaves the float range.
+    At alpha = 1 the _abstains screen leaves the miners with c*a < 1 + 1e-9,
+    the only ones that can invest, and _closed_form runs on them in index
+    order. At alpha > 1 the first-order condition
+    alpha*x**(1-1/alpha)*(1-x)**(1+1/alpha) = c*a**(1/alpha), raised to
+    the power alpha/(alpha+1), is f(x) = t at exponent e = (alpha+1)/2,
+    with log t = (alpha*log c + log a - alpha*log alpha)/(alpha+1). f peaks
+    at the convexity crossover x = (alpha-1)/(2*alpha): a target at or above
+    the peak leaves no stationary point on the concave side, and the miner
+    abstains; one _share_gaps call past the peak solves the others. The
+    candidate q = (a*x/(1-x))**(1/alpha) earns x*(1 - alpha*(1 - x)).
+    ValueError when it leaves the float range.
     """
     alone = oppositions == 0.0
     responses: list[tuple[float, ...]] = [(0.0,)] * costs.size
@@ -170,22 +174,12 @@ def _best_responses(
     live = np.flatnonzero(~alone)
     c, a = costs[live], oppositions[live]
     if alpha == 1.0:
-        with np.errstate(over="ignore"):  # an inf q is named below
-            ratio = a / c
-            q = np.sqrt(ratio) - a
-            wide = ~((ratio >= _TINY) & (ratio < math.inf))
-            root_a = np.sqrt(a[wide])
-            q[wide] = root_a * (1.0 / np.sqrt(c[wide]) - root_a)
+        with np.errstate(over="ignore"):  # an overflowing c*a abstains
+            live = live[~_abstains(c, alpha, a)]
+        q, u = np.reshape([_closed_form(*pair) for pair in zip(
+            costs[live].tolist(), oppositions[live].tolist())], (-1, 2)).T
         inside = q > 0.0
-        live, c, a, q = live[inside], c[inside], a[inside], q[inside]
-        for i in live[q == math.inf].tolist()[:1]:
-            raise _beyond_range(float(costs[i]), float(oppositions[i]), alpha)
-        with np.errstate(over="ignore"):
-            total = q + a
-        x = q / total
-        wide = total == math.inf
-        x[wide] = 1.0 / (1.0 + a[wide] / q[wide])
-        u = x - c * q
+        live, q, u = live[inside], q[inside], u[inside]
     else:
         e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
         z_peak, log_f_peak = _peak(alpha)
@@ -205,8 +199,7 @@ def _best_responses(
             u.append(-x * math.expm1(z + log_alpha))
         q, u = np.asarray(q), np.asarray(u)
     for i, qi, ui in zip(live.tolist(), q.tolist(), u.tolist()):
-        responses[i] = ((qi,) if ui > TIE_TOL
-                        else (0.0, qi) if ui >= -TIE_TOL else (0.0,))
+        responses[i] = _maximizers(qi, ui)
     best[live] = np.maximum(u, 0.0)
     interior[live] = u
     candidates[live] = q
@@ -229,7 +222,9 @@ def _abstains(cost: float, alpha: float, opposition_power: float) -> bool:
     or on its other branch 1/sqrt(c) to at most (1+u)**2/sqrt(c) <
     (1-u)*sqrt(a): q <= 0 either way. At alpha > 1 the logs, numpy's and
     math's, are within 4 ulps of logs under 745, so with the roundings a
-    finite log target moves under 2e-12, and the exact one grows with c."""
+    finite log target moves under 2e-12, and the exact one grows with c.
+    Certification (_best_responses) and the dynamics' idle segments both
+    screen with it; at alpha = 1 it takes arrays as well."""
     if alpha == 1.0:
         return cost * opposition_power >= 1.0 + 1e-9
     log_t = (alpha * math.log(cost) + math.log(opposition_power)
@@ -262,14 +257,15 @@ def best_response_proportional(
     R >= prize / c. Raises ValueError when it leaves the float range.
     """
     q, u = _closed_form(_check_inputs(cost, opposition, prize), opposition)
-    # the interior optimum only touches 0 utility when it is itself 0
-    maximizers = (q,) if u > TIE_TOL else (0.0, q) if q else (0.0,)
-    return BestResponseResult(maximizers, prize * max(u, 0.0), q or None)
+    return BestResponseResult(_maximizers(q, u), prize * max(u, 0.0),
+                              q or None)
 
 
 def _closed_form(cost: float, opposition: float) -> tuple[float, float]:
     """max(0, sqrt(R/c) - R) at opposition R > 0 and its unit-prize utility,
-    in the floats of _best_responses; ValueError beyond the float range."""
+    the one alpha = 1 closed form; ValueError beyond the float range. Where
+    R/c is no normal float, sqrt(R) * (1/sqrt(c) - sqrt(R)) keeps the digits,
+    and where q + R overflows, the share is 1 / (1 + R/q)."""
     ratio = opposition / cost
     q = (math.sqrt(ratio) - opposition if _TINY <= ratio < math.inf
          else math.sqrt(opposition) * (1.0 / math.sqrt(cost)

@@ -58,6 +58,19 @@ def _load_json(path: str):
         raise ScenarioError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _numbers(values, error: str) -> list[float]:
+    """The floats of a JSON array of numbers; ScenarioError(error) when it
+    is no array, or holds a bool, a non-number or an integer beyond the
+    float range."""
+    if isinstance(values, list) and all(type(v) in (int, float)
+                                        for v in values):
+        try:
+            return [float(v) for v in values]
+        except OverflowError:
+            pass
+    raise ScenarioError(error)
+
+
 def load_scenario(path: str) -> tuple[ContestSpec, list[str], dict]:
     """Parse a scenario file into a spec, labels, and an echo block."""
     data = _load_json(path)
@@ -70,15 +83,10 @@ def load_scenario(path: str) -> tuple[ContestSpec, list[str], dict]:
         )
     if "costs" not in data:
         raise ScenarioError(f"{path}: scenario is missing 'costs'")
-    costs = data["costs"]
-    if not isinstance(costs, list) or not all(
-        isinstance(c, (int, float)) for c in costs
-    ):
-        raise ScenarioError(f"{path}: 'costs' must be an array of numbers")
-    alpha = data.get("alpha", 1.0)
-    prize = data.get("prize", 1.0)
-    if not isinstance(alpha, (int, float)) or not isinstance(prize, (int, float)):
-        raise ScenarioError(f"{path}: 'alpha' and 'prize' must be numbers")
+    costs = _numbers(data["costs"],
+                     f"{path}: 'costs' must be an array of numbers")
+    alpha, prize = _numbers([data.get("alpha", 1.0), data.get("prize", 1.0)],
+                            f"{path}: 'alpha' and 'prize' must be numbers")
     labels = data.get("labels")
     if labels is not None:
         if (not isinstance(labels, list)
@@ -88,8 +96,8 @@ def load_scenario(path: str) -> tuple[ContestSpec, list[str], dict]:
             raise ScenarioError(f"{path}: 'labels' must align with 'costs'")
     else:
         labels = [f"m{i + 1}" for i in range(len(costs))]
-    spec = ContestSpec(costs=tuple(costs), alpha=float(alpha),
-                       prize=float(prize))  # ValueError -> invalid spec
+    # ValueError -> invalid spec
+    spec = ContestSpec(costs=tuple(costs), alpha=alpha, prize=prize)
     echo = {"alpha": spec.alpha, "costs": list(spec.costs),
             "prize": spec.prize, "labels": labels}
     return spec, labels, echo
@@ -109,10 +117,7 @@ def load_profile(path: str, n: int) -> np.ndarray:
         if "investments" not in data:
             raise ScenarioError(f"{path}: profile object needs 'investments'")
         data = data["investments"]
-    if not isinstance(data, list) or not all(
-        isinstance(q, (int, float)) for q in data
-    ):
-        raise ScenarioError(f"{path}: investments must be an array of numbers")
+    data = _numbers(data, f"{path}: investments must be an array of numbers")
     if len(data) != n:
         raise ScenarioError(
             f"{path}: profile has {len(data)} investments, scenario has {n}"
@@ -328,19 +333,17 @@ def load_dynamics_config(path: str, spec: ContestSpec,
         rng = np.random.default_rng(0 if seed is None else seed)
         scale = spec.prize / float(np.mean(spec.costs))
         initial = (scale * 10.0 ** rng.uniform(-2.0, 0.0, spec.n)).tolist()
-    if (not isinstance(initial, list) or len(initial) != spec.n
-            or not all(type(q) in (int, float) for q in initial)):
-        raise ScenarioError(
-            f"{path}: 'initial' must be \"random\" or an array of "
-            f"{spec.n} numbers"
-        )
+    message = (f"{path}: 'initial' must be \"random\" or an array of "
+               f"{spec.n} numbers")
+    initial = _numbers(initial, message)
+    if len(initial) != spec.n:
+        raise ScenarioError(message)
     max_rounds = data.get("max_rounds", 10_000)
     if type(max_rounds) not in (int, float) or max_rounds % 1:  # 1e4 counts
         raise ScenarioError(f"{path}: 'max_rounds' must be a whole number")
-    tol = data.get("convergence_tol", 1e-10)
-    if type(tol) not in (int, float):  # nor is a bool
-        raise ScenarioError(f"{path}: 'convergence_tol' must be a number")
-    return DynamicsConfig(tuple(initial), int(max_rounds), float(tol))
+    tol, = _numbers([data.get("convergence_tol", 1e-10)],
+                    f"{path}: 'convergence_tol' must be a number")
+    return DynamicsConfig(tuple(initial), int(max_rounds), tol)
 
 
 def cmd_dynamics(args) -> int:

@@ -188,16 +188,3 @@ def concentration(spec: ContestSpec, profile: ProfileLike) -> ConcentrationRepor
         rent_dissipation=spent / spec.prize,
     )
 
-
-def reduce_exponents(alpha_reward: float, beta_cost: float) -> float:
-    """Fold a concave cost exponent into the reward exponent.
-
-    A game with reward exponent alpha' >= 1 and cost c_i * q_i**beta,
-    0 < beta <= 1, is strategically equivalent to the linear-cost game with
-    exponent alpha'/beta.
-    """
-    if not (math.isfinite(alpha_reward) and alpha_reward >= 1):
-        raise ValueError("reward exponent must be >= 1")
-    if not (math.isfinite(beta_cost) and 0 < beta_cost <= 1):
-        raise ValueError("cost exponent must be in (0, 1]")
-    return alpha_reward / beta_cost

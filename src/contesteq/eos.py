@@ -167,7 +167,7 @@ def verify_equilibrium(
     equilibrium hinges on tie-breaking.
 
     O(n): every opposition comes from one prefix/suffix-sum pass, and the
-    best responses from one vectorised pass (see best_response).
+    best responses from one pass of best_response._best_responses.
     """
     costs, v = unit_costs(spec), spec.prize
     q = as_investments(spec, profile)

@@ -2,8 +2,10 @@
 
 Each miner's opposition is summed over a fresh O(n) mask and each best
 response comes from the scalar oracle, one miner at a time: O(n^2) per
-certificate or dynamics round. The alpha > 1 best response bisects on the
-marginal utility in q. The full-scan dynamics sends every miner through
+certificate or dynamics round. The alpha = 1 best responses of a whole
+profile also come from the closed form on whole arrays, with no miner
+screened out. The alpha > 1 best response bisects on the marginal
+utility in q. The full-scan dynamics sends every miner through
 the update in every round, idle ones included. The per-set solve nests
 scalar bisections: one on the power scale s, and one per member and step
 to invert the share weight f. Enumeration solves and certifies every
@@ -83,6 +85,48 @@ def reference_best_response_eos(cost: float, alpha: float,
     if u_star >= -br.TIE_TOL:
         return br.BestResponseResult((0.0, q_star), max(0.0, u_star), q_star)
     return br.BestResponseResult((0.0,), 0.0, q_star)
+
+
+def vector_closed_form(costs: np.ndarray, oppositions: np.ndarray):
+    """_best_responses at alpha = 1 in one vectorised pass over every miner:
+    the closed form on whole arrays, with the float operations of the
+    scalar _closed_form. Where a / c is no normal float, q = sqrt(a / c) - a
+    is taken as sqrt(a) * (1/sqrt(c) - sqrt(a)), which keeps its digits and
+    overflows only with q, and where q + a overflows, the share q / (q + a)
+    as 1 / (1 + a / q). No abstention screen: every miner facing positive
+    opposition goes through the closed form."""
+    alone = oppositions == 0.0
+    responses = [(0.0,)] * costs.size
+    for i in np.flatnonzero(alone).tolist():
+        responses[i] = ()
+    best = np.where(alone, np.inf, 0.0)
+    interior = np.full(costs.size, np.nan)
+    candidates = np.full(costs.size, np.nan)
+    live = np.flatnonzero(~alone)
+    c, a = costs[live], oppositions[live]
+    with np.errstate(over="ignore"):  # an inf q is named below
+        ratio = a / c
+        q = np.sqrt(ratio) - a
+        wide = ~((ratio >= br._TINY) & (ratio < math.inf))
+        root_a = np.sqrt(a[wide])
+        q[wide] = root_a * (1.0 / np.sqrt(c[wide]) - root_a)
+    inside = q > 0.0
+    live, c, a, q = live[inside], c[inside], a[inside], q[inside]
+    for i in live[q == math.inf].tolist()[:1]:
+        raise br._beyond_range(float(costs[i]), float(oppositions[i]), 1.0)
+    with np.errstate(over="ignore"):
+        total = q + a
+    x = q / total
+    wide = total == math.inf
+    x[wide] = 1.0 / (1.0 + a[wide] / q[wide])
+    u = x - c * q
+    for i, qi, ui in zip(live.tolist(), q.tolist(), u.tolist()):
+        responses[i] = ((qi,) if ui > br.TIE_TOL
+                        else (0.0, qi) if ui >= -br.TIE_TOL else (0.0,))
+    best[live] = np.maximum(u, 0.0)
+    interior[live] = u
+    candidates[live] = q
+    return responses, best, interior, candidates
 
 
 def reference_verify(spec, profile, tol=CERT_TOL,

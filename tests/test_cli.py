@@ -58,6 +58,23 @@ class TestScenarioParsing:
                           {"costs": [1, 1], "labels": ["a"]})
         assert cli.main(["solve", "--scenario", path]) == cli.EXIT_PARSE
 
+    def assert_parse_error(self, tmp_path, capsys, scenario, name):
+        path = write_json(tmp_path / "s.json", scenario)
+        assert cli.main(["solve", "--scenario", path]) == cli.EXIT_PARSE
+        assert f"'{name}'" in capsys.readouterr().err
+
+    def test_boolean_cost(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys, {"costs": [True, 2, 3]},
+                                "costs")
+
+    def test_boolean_alpha(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys,
+                                {"costs": [1, 2, 3], "alpha": True}, "alpha")
+
+    def test_cost_beyond_the_float_range(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys, {"costs": [10**400, 2]},
+                                "costs")
+
 
 class TestSolve:
     def test_harmonic_costs_document(self, scenario_harmonic, tmp_path):
@@ -249,6 +266,14 @@ class TestVerify:
              "--profile", profile]
         ) == cli.EXIT_PARSE
 
+    def test_boolean_investment(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "s.json", {"costs": [1, 2, 3]})
+        profile = write_json(tmp_path / "p.json", [True, 0.5, 0])
+        assert cli.main(
+            ["verify", "--scenario", scenario, "--profile", profile]
+        ) == cli.EXIT_PARSE
+        assert "investments" in capsys.readouterr().err
+
     def test_tolerance_env_override(self, tmp_path, monkeypatch):
         scenario = write_json(tmp_path / "s.json", {"costs": [1.0, 1.0]})
         profile = write_json(tmp_path / "p.json", [0.2, 0.2])
@@ -413,6 +438,21 @@ class TestDynamicsConfigFields:
                          "--config", str(config), "--out",
                          str(tmp_path / "t.csv")]) == cli.EXIT_PARSE
         assert "'initial'" in capsys.readouterr().err
+
+    def test_initial_beyond_the_float_range(self, scenario_harmonic,
+                                            tmp_path, capsys):
+        config = write_json(tmp_path / "cfg.json",
+                            {"initial": [0.5] * 9 + [10**400]})
+        assert cli.main(["dynamics", "--scenario", scenario_harmonic,
+                         "--config", config, "--out",
+                         str(tmp_path / "t.csv")]) == cli.EXIT_PARSE
+        assert "'initial'" in capsys.readouterr().err
+
+    def test_convergence_tol_beyond_the_float_range(
+            self, scenario_harmonic, tmp_path, capsys):
+        self.assert_parse_error(scenario_harmonic, tmp_path, capsys,
+                                f'"convergence_tol": {10**400}',
+                                "convergence_tol")
 
     def test_integral_float_max_rounds_is_accepted(self, scenario_harmonic,
                                                    tmp_path):

@@ -10,7 +10,6 @@ from contesteq import (
     MarketShares,
     concentration,
     marginal_share,
-    reduce_exponents,
     shares,
     utility,
 )
@@ -210,17 +209,3 @@ class TestConcentration:
             assert top[-1] == pytest.approx(1.0, abs=1e-12)
             assert 1.0 / len(q) - 1e-12 <= report.hhi <= 1.0 + 1e-12
 
-
-class TestReduceExponents:
-    @pytest.mark.parametrize("ar, bc, expected", [
-        (1.0, 1.0, 1.0),
-        (1.1, 1.0, 1.1),
-        (1.2, 0.8, 1.5),
-    ])
-    def test_values(self, ar, bc, expected):
-        assert reduce_exponents(ar, bc) == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("ar, bc", [(0.9, 1.0), (1.0, 1.5), (1.0, 0.0)])
-    def test_rejects_out_of_range(self, ar, bc):
-        with pytest.raises(ValueError):
-            reduce_exponents(ar, bc)

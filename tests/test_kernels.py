@@ -2,6 +2,7 @@
 scalar masked-opposition references in scalar_oracle.py."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from contesteq import best_response as br
 from contesteq.core import unit_costs
 from scalar_oracle import (entry_cost, masked_opposition,
                            reference_best_response_eos, reference_dynamics,
-                           reference_verify)
+                           reference_verify, vector_closed_form)
 
 EPS = np.finfo(float).eps
 
@@ -191,6 +192,82 @@ class TestVectorisedCertification:
         notes = [v.note for v in cert.verdicts]
         assert notes == ["", br.ZERO_OPPOSITION, ""]
         assert cert.verdicts[1].slack == -math.inf
+
+
+@st.composite
+def alpha_one_lanes(draw):
+    """Unit-prize costs and oppositions of 1 to 40 miners, drawn four
+    ways: dense, every c*a below 1 so that no miner is screened out;
+    knife-edge, c*a within 3e-9 of 1 or of the screen's 1 + 1e-9;
+    magnitudes log-uniform over 1e-300 to 1e300, some oppositions 0; and
+    sqrt(a / c) near the float maximum, where q or q + a overflows."""
+    n = draw(st.integers(1, 40))
+    log_c = draw(st.lists(st.floats(-300.0, 300.0), min_size=n, max_size=n))
+    costs = [10.0**v for v in log_c]
+    kind = draw(st.sampled_from(["dense", "knife-edge", "magnitudes",
+                                 "float max"]))
+    if kind == "float max":
+        log_a = draw(st.lists(st.floats(307.0, 308.25), min_size=n,
+                              max_size=n))
+        return (np.asarray([10.0**(v - 2.0 * draw(st.floats(308.1, 308.5)))
+                            for v in log_a]),
+                np.asarray([10.0**v for v in log_a]))
+    if kind == "magnitudes":
+        products = [10.0**v for v in draw(st.lists(
+            st.floats(-300.0, 300.0), min_size=n, max_size=n))]
+        oppositions = [a if draw(st.integers(0, 4)) else 0.0
+                       for a in products]
+    else:
+        if kind == "dense":
+            products = draw(st.lists(st.floats(1e-12, 1.0, exclude_max=True),
+                                     min_size=n, max_size=n))
+        else:
+            products = [draw(st.sampled_from([1.0, 1.0 + 1e-9]))
+                        + draw(st.floats(-3e-9, 3e-9)) for _ in range(n)]
+        oppositions = [p / c for p, c in zip(products, costs)]
+    return np.asarray(costs), np.asarray(oppositions)
+
+
+def lane_outcome(lane, costs, oppositions):
+    """The lane's four arrays as hex bits, or its ValueError text; a
+    RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            responses, *arrays = lane(costs, oppositions)
+        except ValueError as exc:
+            return str(exc)
+    return ([[float(v).hex() for v in r] for r in responses],
+            [[float(v).hex() for v in x] for x in arrays])
+
+
+class TestAlphaOneLane:
+    @settings(max_examples=300)
+    @given(alpha_one_lanes())
+    def test_same_bits_as_the_unscreened_vector_lane(self, lane):
+        """The abstention screen and the scalar closed form give what the
+        closed form on whole arrays gives: the same maximizer sets, best
+        and interior utilities and candidates, bit for bit, or the same
+        float-range error."""
+        costs, oppositions = lane
+        assert (lane_outcome(lambda c, a: br._best_responses(c, 1.0, a),
+                             costs, oppositions)
+                == lane_outcome(vector_closed_form, costs, oppositions))
+
+    def test_closed_form_runs_only_on_miners_that_can_invest(self,
+                                                             monkeypatch):
+        spec = ContestSpec(tuple(np.linspace(1.0, 3.0, 2000).tolist()))
+        q = np.asarray(solve_equilibrium(spec).investments)
+        costs = unit_costs(spec)
+        can_invest = np.count_nonzero(
+            costs * br._opposition_powers(q, 1.0) < 1.0 + 1e-9)
+        calls = []
+        closed_form = br._closed_form
+        monkeypatch.setattr(br, "_closed_form",
+                            lambda *args: calls.append(args)
+                            or closed_form(*args))
+        assert verify_equilibrium(spec, q).certified
+        assert len(calls) == can_invest < spec.n // 10
 
 
 class TestLinearDynamics:
