@@ -10,7 +10,6 @@ from .best_response import (
 from .core import (
     ConcentrationReport,
     ContestSpec,
-    InvestmentProfile,
     MarketShares,
     concentration,
     marginal_share,
@@ -49,7 +48,6 @@ __all__ = [
     "DynamicsConfig",
     "EosEquilibrium",
     "EquilibriumCertificate",
-    "InvestmentProfile",
     "MarketShares",
     "MinerVerdict",
     "NoBestResponse",

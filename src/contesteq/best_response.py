@@ -15,7 +15,8 @@ independent of both analytic paths.
 Prize boundary: the analytic oracles solve the unit-prize game at cost
 c / prize and multiply the utility they report by the prize, so their
 tolerances are relative to it. The helpers the rest of the package shares
-are prize-free: opposition power and best-response dispatch.
+are prize-free: best-response dispatch and its kernels. Powers and
+oppositions come from core.
 """
 
 from __future__ import annotations
@@ -48,42 +49,6 @@ class BestResponseResult:
     optimal_investments: tuple[float, ...]
     optimal_utility: float
     interior_candidate: Optional[float] = None
-
-
-def _sums_after(power: np.ndarray) -> np.ndarray:
-    """sum_{j > i} power_j for every i: exclusive suffix sums."""
-    return np.concatenate((np.cumsum(power[:0:-1])[::-1], [0.0]))
-
-
-def _powers(q, alpha: float):
-    """q**alpha for finite q >= 0, scalar or elementwise; ValueError when a
-    power overflows, since there is then no finite aggregate power."""
-    if alpha == 1.0:
-        return q
-    with np.errstate(over="ignore"):
-        power = np.power(q, alpha)
-    if np.isinf(power).any():
-        raise ValueError(f"investments**alpha leave the float range "
-                         f"(up to {float(np.max(q))!r}, alpha {alpha!r})")
-    return power
-
-
-def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
-    """sum_{j != i} q_j**alpha for every miner i, the power each competes
-    against, in O(n) from exclusive prefix and suffix sums. Total minus
-    own would cancel when one miner holds nearly all the power. ValueError
-    when a power or the aggregate power leaves the float range."""
-    power = _powers(q, alpha)
-    with np.errstate(over="ignore"):
-        opposition = _sums_after(power[::-1])[::-1] + _sums_after(power)
-        if np.isinf(opposition + power).any():  # each entry is the total
-            raise _aggregate_beyond_range(q, alpha)
-    return opposition
-
-
-def _aggregate_beyond_range(q, alpha: float) -> ValueError:
-    return ValueError(f"aggregate power leaves the float range (up to "
-                      f"{float(np.max(q))!r}, alpha {alpha!r})")
 
 
 def _beyond_range(cost: float, opposition_power: float,

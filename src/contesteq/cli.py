@@ -28,7 +28,8 @@ import numpy as np
 
 from . import best_response as br
 from . import eos, proportional
-from .core import ContestSpec, concentration, unit_costs
+from .core import (ContestSpec, _opposition_powers, concentration,
+                   unit_costs)
 from .dynamics import DynamicsConfig, run_dynamics
 
 SCHEMA_VERSION = 1
@@ -289,12 +290,13 @@ def cmd_sweep(args) -> int:
             if clipped != value:
                 status = "clipped"
                 value = clipped
-        elif value <= 0:
+        try:  # a value <= 0, or a spec or solve beyond the float range
+            sub = _sweep_spec(spec, args.param, value)
+            found = _equilibria(sub, tol)[1]
+        except ValueError:
             rows.append([args.param, _fmt(value), "invalid", "", "", "", "", ""])
             continue
-        sub = _sweep_spec(spec, args.param, value)
-        certified = [eq for eq, cert, _ in _equilibria(sub, tol)[1]
-                     if cert.certified]
+        certified = [eq for eq, cert, _ in found if cert.certified]
         if not certified:
             rows.append([args.param, _fmt(value), "no_equilibrium",
                          "", "", "", "", ""])
@@ -377,7 +379,7 @@ def cmd_best_response(args) -> int:
             ) from exc
         if not 0 <= miner < spec.n:
             raise ScenarioError(f"--miner index {miner} out of range")
-    opposition = float(br._opposition_powers(q, spec.alpha)[miner])
+    opposition = float(_opposition_powers(q, spec.alpha)[miner])
     cost = float(unit_costs(spec)[miner])
     try:
         result = br._best_response(cost, spec.alpha, opposition)

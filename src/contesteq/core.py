@@ -4,6 +4,10 @@ A contest has n >= 2 miners. Miner i buys q_i units of capacity at per-unit
 cost c_i and earns the share x_i = q_i**alpha / sum_j q_j**alpha of a fixed
 prize. alpha = 1 is the proportional model; alpha > 1 rewards scale.
 Everything here is a pure function of immutable values.
+
+This module owns the profile arithmetic that every solver, certificate and
+dynamics run reads: powers q_i**alpha, oppositions sum_{j != i} q_j**alpha,
+shares, the unit-prize costs c_i / prize, and utilities.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-ProfileLike = Union["InvestmentProfile", Sequence[float], np.ndarray]
+ProfileLike = Union[Sequence[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -47,22 +51,6 @@ class ContestSpec:
     def n(self) -> int:
         return len(self.costs)
 
-    def ascending_order(self) -> np.ndarray:
-        """Indices that sort costs ascending (stable for ties)."""
-        return np.argsort(np.asarray(self.costs), kind="stable")
-
-
-@dataclass(frozen=True)
-class InvestmentProfile:
-    """Per-miner investments, aligned with ContestSpec.costs."""
-
-    investments: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "investments", tuple(float(q) for q in self.investments)
-        )
-
 
 @dataclass(frozen=True)
 class MarketShares:
@@ -79,10 +67,7 @@ class ConcentrationReport:
 
 def as_investments(spec: ContestSpec, profile: ProfileLike) -> np.ndarray:
     """Validate a profile against a spec and return it as a float array."""
-    if isinstance(profile, InvestmentProfile):
-        q = np.asarray(profile.investments, dtype=float)
-    else:
-        q = np.asarray(profile, dtype=float)
+    q = np.asarray(profile, dtype=float)
     if q.ndim != 1 or q.shape[0] != spec.n:
         raise ValueError(
             f"profile has {q.shape} investments, spec has {spec.n} miners"
@@ -139,13 +124,51 @@ def unit_utilities(costs, q, x) -> np.ndarray:
         return np.asarray(x) - np.asarray(costs) * np.asarray(q)
 
 
+def _sums_after(power: np.ndarray) -> np.ndarray:
+    """sum_{j > i} power_j for every i: exclusive suffix sums."""
+    return np.concatenate((np.cumsum(power[:0:-1])[::-1], [0.0]))
+
+
+def _powers(q, alpha: float):
+    """q**alpha for finite q >= 0, scalar or elementwise; ValueError when a
+    power overflows, since there is then no finite aggregate power."""
+    if alpha == 1.0:
+        return q
+    with np.errstate(over="ignore"):
+        power = np.power(q, alpha)
+    if np.isinf(power).any():
+        raise ValueError(f"investments**alpha leave the float range "
+                         f"(up to {float(np.max(q))!r}, alpha {alpha!r})")
+    return power
+
+
+def _opposition_powers(q: np.ndarray, alpha: float) -> np.ndarray:
+    """sum_{j != i} q_j**alpha for every miner i, the power each competes
+    against, in O(n) from exclusive prefix and suffix sums. Total minus
+    own would cancel when one miner holds nearly all the power. ValueError
+    when a power or the aggregate power leaves the float range."""
+    power = _powers(q, alpha)
+    with np.errstate(over="ignore"):
+        opposition = _sums_after(power[::-1])[::-1] + _sums_after(power)
+        if np.isinf(opposition + power).any():  # each entry is the total
+            raise _aggregate_beyond_range(q, alpha)
+    return opposition
+
+
+def _aggregate_beyond_range(q, alpha: float) -> ValueError:
+    return ValueError(f"aggregate power leaves the float range (up to "
+                      f"{float(np.max(q))!r}, alpha {alpha!r})")
+
+
 def utility(spec: ContestSpec, profile: ProfileLike, i: int) -> float:
-    """prize * x_i - c_i * q_i for miner i."""
+    """prize * (x_i - (c_i / prize) * q_i) for miner i: the unit-prize
+    utility in caller units, as verify_equilibrium reports it. ValueError
+    from unit_costs when c / prize leaves the float range."""
     q = as_investments(spec, profile)
     if not 0 <= i < spec.n:
         raise IndexError(f"miner index {i} out of range for n={spec.n}")
     x = shares(spec, q).shares[i]
-    return spec.prize * x - spec.costs[i] * float(q[i])
+    return spec.prize * float(unit_utilities(unit_costs(spec)[i], q[i], x))
 
 
 def marginal_share(spec: ContestSpec, profile: ProfileLike, i: int) -> float:

@@ -37,8 +37,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import best_response as br
-from .core import (ContestSpec, as_investments, shares, unit_costs,
-                   unit_utilities)
+from .core import (ContestSpec, _aggregate_beyond_range, _powers,
+                   as_investments, shares, unit_costs, unit_utilities)
 from .eos import CERT_TOL, EquilibriumCertificate, verify_equilibrium
 
 
@@ -122,7 +122,7 @@ def run_dynamics(
     status = "max_rounds_exhausted"
     for _ in range(config.max_rounds):  # max_rounds >= 1
         # after[k]: the active powers from active miner k on, np.cumsum-wise
-        power = br._powers(np.asarray([q[i] for i in active]), alpha).tolist()
+        power = _powers(np.asarray([q[i] for i in active]), alpha).tolist()
         after = [*accumulate(reversed(power))][::-1] + [0.0]
         starts, ends = [0] + [i + 1 for i in active], active + [len(q)]
         before, moved, active = 0.0, False, []
@@ -136,7 +136,7 @@ def run_dynamics(
                 opposition = before + (after[k + 1] if i == hi else after[k])
                 if opposition != 0.0:  # else no best response: keep it
                     if opposition + p == inf:  # the state miner i faces
-                        raise br._aggregate_beyond_range(q, alpha)
+                        raise _aggregate_beyond_range(q, alpha)
                     if alpha == 1.0:  # the closed form in plain floats
                         interior, u = closed_form(cost, opposition)
                         response = target = (interior if u > br.TIE_TOL else
@@ -145,9 +145,9 @@ def run_dynamics(
                         maximizers = br._best_response(
                             cost, alpha, opposition).optimal_investments
                         target = _nearest(qi, maximizers[0], maximizers[-1])
-                        response = float(br._powers(target, alpha))
+                        response = float(_powers(target, alpha))
                     if opposition + response == inf:  # the state it leaves
-                        raise br._aggregate_beyond_range(q, alpha)
+                        raise _aggregate_beyond_range(q, alpha)
                     gain = (response / (response + opposition) - cost * target
                             - (p / (p + opposition) - cost * qi))
                     if gain < -1e-12:

@@ -42,8 +42,8 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import best_response as br
-from .core import (ContestSpec, ProfileLike, as_investments, shares,
-                   unit_costs, unit_utilities)
+from .core import (ContestSpec, ProfileLike, _opposition_powers,
+                   as_investments, shares, unit_costs, unit_utilities)
 
 #: default certification tolerance on per-miner utility slack (x prize)
 CERT_TOL = 1e-9
@@ -171,7 +171,7 @@ def verify_equilibrium(
     """
     costs, v = unit_costs(spec), spec.prize
     q = as_investments(spec, profile)
-    oppositions = br._opposition_powers(q, spec.alpha)
+    oppositions = _opposition_powers(q, spec.alpha)
     u = unit_utilities(costs, q, shares(spec, q).shares)
     responses, best, interior, _ = br._best_responses(costs, spec.alpha,
                                                       oppositions)

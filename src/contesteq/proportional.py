@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .best_response import _aggregate_beyond_range
-from .core import (ContestSpec, ProfileLike, as_investments, shares,
-                   unit_costs)
+from .core import (ContestSpec, ProfileLike, _aggregate_beyond_range,
+                   as_investments, shares, unit_costs)
 from .roots import bisect_monotone
 
 

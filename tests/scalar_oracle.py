@@ -20,7 +20,9 @@ from itertools import combinations
 import numpy as np
 
 from contesteq import best_response as br
-from contesteq.core import as_investments, shares, unit_costs, unit_utilities
+from contesteq.core import (_aggregate_beyond_range, _powers, _sums_after,
+                            as_investments, shares, unit_costs,
+                            unit_utilities)
 from contesteq.dynamics import Trajectory, _nearest
 from contesteq.eos import (CERT_TOL, MAX_MINERS, SUM_TOL, EosEquilibrium,
                            EquilibriumCertificate, MinerVerdict, _relabelled,
@@ -206,15 +208,15 @@ def full_scan_dynamics(spec, config, verify_tol=CERT_TOL):
     for _ in range(config.max_rounds):  # max_rounds >= 1
         # miner i faces the updated miners before it (a running prefix) and
         # the incumbents after it (suffix sums): O(1), nothing cancelled
-        power = br._powers(np.asarray(q), alpha)
+        power = _powers(np.asarray(q), alpha)
         with np.errstate(over="ignore"):  # an inf sum is named per update
-            after = br._sums_after(power).tolist()
+            after = _sums_after(power).tolist()
         power, before, moved = power.tolist(), 0.0, False
         for i, (cost, qi, p) in enumerate(zip(costs, snapshots[-1], power)):
             opposition = before + after[i]
             if opposition != 0.0:  # else no best response: keep the incumbent
                 if opposition + p == inf:  # the state miner i faces
-                    raise br._aggregate_beyond_range(q, alpha)
+                    raise _aggregate_beyond_range(q, alpha)
                 if alpha == 1.0:  # the closed form in plain floats
                     interior, u = closed_form(cost, opposition)
                     response = target = (interior if u > br.TIE_TOL else
@@ -223,9 +225,9 @@ def full_scan_dynamics(spec, config, verify_tol=CERT_TOL):
                     maximizers = br._best_response(
                         cost, alpha, opposition).optimal_investments
                     target = _nearest(qi, maximizers[0], maximizers[-1])
-                    response = float(br._powers(target, alpha))
+                    response = float(_powers(target, alpha))
                 if opposition + response == inf:  # the state it leaves
-                    raise br._aggregate_beyond_range(q, alpha)
+                    raise _aggregate_beyond_range(q, alpha)
                 gain = ((response / (response + opposition) - cost * target)
                         - (p / (p + opposition) - cost * qi))
                 if gain < -1e-12:

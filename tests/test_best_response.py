@@ -247,3 +247,25 @@ class TestConvexityProfile:
         # utility is concave everywhere at alpha = 1: no convex side
         with pytest.raises(ArithmeticError, match="not bracketed"):
             convexity_crossover(1.0, 1.0, 1.0)
+
+
+#: each oracle as f(cost, opposition), at alpha 1.5 when it takes one, and
+#: its message for a negative opposition
+CHECKED_ORACLES = [
+    (best_response_proportional, "opposition must be >= 0"),
+    (lambda c, a: best_response_eos(c, 1.5, a), "opposition must be >= 0"),
+    (lambda c, a: grid_oracle(c, 1.5, a), "opposition power must be >= 0"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("oracle, _", CHECKED_ORACLES)
+    def test_nonpositive_cost(self, oracle, _):
+        with pytest.raises(ValueError,
+                           match="cost and prize must be positive"):
+            oracle(0.0, 1.0)
+
+    @pytest.mark.parametrize("oracle, message", CHECKED_ORACLES)
+    def test_negative_opposition(self, oracle, message):
+        with pytest.raises(ValueError, match=message):
+            oracle(1.0, -1.0)

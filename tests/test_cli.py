@@ -75,6 +75,27 @@ class TestScenarioParsing:
         self.assert_parse_error(tmp_path, capsys, {"costs": [10**400, 2]},
                                 "costs")
 
+    def test_missing_costs(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys, {"alpha": 1.5}, "costs")
+
+    def test_non_string_labels(self, tmp_path, capsys):
+        self.assert_parse_error(tmp_path, capsys,
+                                {"costs": [1, 2], "labels": ["a", 2]},
+                                "labels")
+
+    def test_scenario_that_is_an_array(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", [1, 2, 3])
+        assert cli.main(["solve", "--scenario", path]) == cli.EXIT_PARSE
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    def test_bad_tolerance_env(self, scenario_harmonic, monkeypatch, capsys,
+                               value):
+        monkeypatch.setenv("CONTEST_EQ_TOL", value)
+        assert cli.main(["solve", "--scenario",
+                         scenario_harmonic]) == cli.EXIT_PARSE
+        assert "CONTEST_EQ_TOL" in capsys.readouterr().err
+
 
 class TestSolve:
     def test_harmonic_costs_document(self, scenario_harmonic, tmp_path):
@@ -274,6 +295,18 @@ class TestVerify:
         ) == cli.EXIT_PARSE
         assert "investments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, message", [
+        ({"equilibria": []}, "no equilibria"),
+        ({"profile": [0.5, 0.5]}, "'investments'"),
+    ])
+    def test_profile_document_without_investments(
+            self, scenario_harmonic, tmp_path, capsys, document, message):
+        profile = write_json(tmp_path / "p.json", document)
+        assert cli.main(
+            ["verify", "--scenario", scenario_harmonic, "--profile", profile]
+        ) == cli.EXIT_PARSE
+        assert message in capsys.readouterr().err
+
     def test_tolerance_env_override(self, tmp_path, monkeypatch):
         scenario = write_json(tmp_path / "s.json", {"costs": [1.0, 1.0]})
         profile = write_json(tmp_path / "p.json", [0.2, 0.2])
@@ -334,6 +367,45 @@ class TestSweep:
             ["sweep", "--scenario", scenario_harmonic, "--param", "alpha",
              "--grid", "nope", "--out", str(tmp_path / "x.csv")]
         ) == cli.EXIT_PARSE
+
+    @pytest.mark.parametrize("grid", ["1:2:x", "2:1:3"])
+    def test_bad_grid_values_are_parse_errors(self, scenario_harmonic,
+                                              tmp_path, grid):
+        assert cli.main(
+            ["sweep", "--scenario", scenario_harmonic, "--param", "alpha",
+             "--grid", grid, "--out", str(tmp_path / "x.csv")]
+        ) == cli.EXIT_PARSE
+
+    @staticmethod
+    def statuses(tmp_path, scenario, param, grid):
+        """(value, status) of every row of a sweep that must exit 0."""
+        path = write_json(tmp_path / "s.json", scenario)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--scenario", path, "--param", param,
+                         f"--grid={grid}", "--out", str(out)]) == cli.EXIT_OK
+        return [tuple(row[1:3]) for row in read_csv(out)[1:]]
+
+    def test_zero_prize_is_invalid(self, tmp_path):
+        rows = self.statuses(tmp_path, {"costs": EXAMPLE1_COSTS}, "prize",
+                             "0:1:3")
+        assert rows == [("0", "invalid"), ("0.5", "ok"), ("1", "ok")]
+
+    def test_costs_beyond_the_float_range_are_invalid(self, tmp_path):
+        rows = self.statuses(tmp_path, {"costs": [1e10, 2e10, 3e10]},
+                             "cost_scale", "1:1e300:3")
+        assert rows == [("1", "ok"), ("5e+299", "invalid"),
+                        ("1e+300", "invalid")]
+
+    def test_unit_costs_beyond_the_float_range_are_invalid(self, tmp_path):
+        rows = self.statuses(tmp_path, {"costs": [1e10, 2e10, 3e10]},
+                             "prize", "1e-300:1:2")
+        assert rows == [("1e-300", "invalid"), ("1", "ok")]
+
+    def test_threshold_beyond_the_float_range_is_invalid(self, tmp_path):
+        rows = self.statuses(
+            tmp_path, {"costs": [1e-310, 1.1e-310, 5e-310], "alpha": 1.5},
+            "alpha", "1:1.5:2")
+        assert rows[0] == ("1", "invalid")
 
 
 class TestDynamics:
@@ -454,6 +526,22 @@ class TestDynamicsConfigFields:
                                 f'"convergence_tol": {10**400}',
                                 "convergence_tol")
 
+    def test_config_that_is_an_array(self, scenario_harmonic, tmp_path,
+                                     capsys):
+        config = write_json(tmp_path / "cfg.json", [0.5] * 10)
+        assert cli.main(["dynamics", "--scenario", scenario_harmonic,
+                         "--config", config, "--out",
+                         str(tmp_path / "t.csv")]) == cli.EXIT_PARSE
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_initial_of_the_wrong_length(self, scenario_harmonic, tmp_path,
+                                         capsys):
+        config = write_json(tmp_path / "cfg.json", {"initial": [0.5] * 9})
+        assert cli.main(["dynamics", "--scenario", scenario_harmonic,
+                         "--config", config, "--out",
+                         str(tmp_path / "t.csv")]) == cli.EXIT_PARSE
+        assert "'initial'" in capsys.readouterr().err
+
     def test_integral_float_max_rounds_is_accepted(self, scenario_harmonic,
                                                    tmp_path):
         assert self.run(scenario_harmonic, tmp_path,
@@ -483,6 +571,23 @@ class TestBestResponse:
         doc = json.loads(out.read_text())
         assert doc["best_responses"][0] == 0.0  # abstention ties the interior
         assert doc["best_utility"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_miner_facing_zero_opposition(self, tmp_path, capsys):
+        scenario = write_json(tmp_path / "s.json", {"costs": [1, 2, 3]})
+        profile = write_json(tmp_path / "p.json", [1.0, 0.0, 0.0])
+        assert cli.main(["best-response", "--scenario", scenario,
+                         "--profile", profile, "--miner", "0"]
+                        ) == cli.EXIT_INVALID_SPEC
+        assert "zero opposition" in capsys.readouterr().err
+
+    def test_miner_index_out_of_range(self, scenario_deterrence, tmp_path,
+                                      capsys):
+        profile = write_json(tmp_path / "p.json", [0.0, 0.5, 0.5, 0.0])
+        assert cli.main(
+            ["best-response", "--scenario", scenario_deterrence,
+             "--profile", profile, "--miner", "7"]
+        ) == cli.EXIT_PARSE
+        assert "out of range" in capsys.readouterr().err
 
     def test_unknown_miner(self, scenario_deterrence, tmp_path):
         profile = write_json(tmp_path / "p.json", [0.0, 0.5, 0.5, 0.0])

@@ -1,18 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contesteq import (
     ContestSpec,
-    InvestmentProfile,
     MarketShares,
     concentration,
     marginal_share,
     shares,
     utility,
+    verify_equilibrium,
 )
+from contesteq.core import unit_costs
 
 investment = st.floats(1e-3, 10.0)
 
@@ -47,10 +49,6 @@ class TestContestSpec:
         with pytest.raises(ValueError):
             ContestSpec(**bad)
 
-    def test_ascending_order_is_stable_under_ties(self):
-        spec = ContestSpec(costs=(2.0, 1.0, 2.0, 1.0))
-        assert spec.ascending_order().tolist() == [1, 3, 0, 2]
-
 
 class TestShares:
     def test_symmetric_quarter(self):
@@ -76,11 +74,6 @@ class TestShares:
         spec = ContestSpec(costs=(1.0, 1.0))
         with pytest.raises(ValueError):
             shares(spec, bad)
-
-    def test_accepts_investment_profile_wrapper(self):
-        spec = ContestSpec(costs=(1.0, 3.0))
-        wrapped = shares(spec, InvestmentProfile((0.4, 0.6)))
-        assert wrapped == shares(spec, (0.4, 0.6))
 
     def test_extreme_magnitudes_stay_normalized(self):
         spec = ContestSpec(costs=(1.0, 1.0), alpha=2.0)
@@ -133,6 +126,36 @@ class TestUtility:
             u_scaled = utility(scaled, q, i)
             u_unit = utility(unit, q, i)
             assert u_scaled == pytest.approx(prize * u_unit, abs=1e-12, rel=1e-12)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_the_certificate_bit_for_bit(self, data):
+        # costs, prize and investments log-uniform on 1e-3..1e3, or on
+        # 1e-300..1e300 so that c / prize can leave the float range
+        span = data.draw(st.sampled_from([3.0, 300.0]))
+        magnitude = st.floats(-span, span).map(lambda e: 10.0 ** e)
+        n = data.draw(st.integers(2, 6))
+        costs = data.draw(st.lists(magnitude, min_size=n, max_size=n))
+        q = data.draw(st.lists(st.just(0.0) | magnitude, min_size=n,
+                               max_size=n))
+        alpha = data.draw(st.just(1.0) | st.floats(1.0, 2.0, exclude_min=True))
+        spec = ContestSpec(tuple(costs), alpha, data.draw(magnitude))
+        try:
+            unit_costs(spec)
+        except ValueError as exc:
+            message = re.escape(str(exc))
+            with pytest.raises(ValueError, match=message):
+                verify_equilibrium(spec, q)
+            for i in range(n):
+                with pytest.raises(ValueError, match=message):
+                    utility(spec, q, i)
+            return
+        try:
+            cert = verify_equilibrium(spec, q)
+        except ValueError:  # a power beyond the float range
+            return
+        assert [utility(spec, q, i).hex() for i in range(n)] == [
+            v.utility.hex() for v in cert.verdicts]
 
 
 class TestMarginalShare:

@@ -14,6 +14,7 @@ from contesteq import (
     verify_equilibrium,
 )
 from contesteq import best_response as br
+from contesteq.core import _powers
 from contesteq.dynamics import _nearest
 from scalar_oracle import full_scan_dynamics
 
@@ -337,7 +338,7 @@ def knife_edge_runs(draw):
     active = draw(st.lists(
         st.tuples(st.floats(0.5, 2.0), st.floats(0.05, 1.0)),
         min_size=1, max_size=4))
-    power = br._powers(np.asarray([q for _, q in active]), alpha)
+    power = _powers(np.asarray([q for _, q in active]), alpha)
     a = float(np.cumsum(power[::-1])[-1])  # what the front segment faces
     offsets = draw(st.lists(st.floats(-3e-9, 3e-9), min_size=1, max_size=3))
     costs = [threshold_cost(alpha, a, w) for w in offsets]

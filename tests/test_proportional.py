@@ -14,6 +14,7 @@ from contesteq import (
     threshold_function,
     utility,
 )
+from contesteq.roots import bisect_monotone
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 EXAMPLE1_CSTAR = 4437 / 5040  # sum of the 7 cheapest costs divided by 6
@@ -254,3 +255,16 @@ class TestEquilibriumProperties:
                     moved = utility(spec, bumped, i) - base
                     residual = max(abs(r) for r in foc_residual(spec, bumped))
                     assert moved < 0 or residual > 1e-10
+
+
+class TestBisectMonotone:
+    def test_rejects_an_empty_bracket(self):
+        with pytest.raises(ValueError, match="invalid bracket"):
+            bisect_monotone(lambda x: x, 1.0, 1.0)
+
+    def test_rejects_a_target_outside_the_bracket(self):
+        with pytest.raises(ValueError, match="not bracketed"):
+            bisect_monotone(lambda x: x, 0.0, 1.0, target=2.0)
+
+    def test_root_at_lo_takes_no_iterations(self):
+        assert bisect_monotone(lambda x: x, 0.0, 1.0) == (0.0, 0.0, 0)
