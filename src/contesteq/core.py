@@ -184,11 +184,11 @@ def marginal_share(spec: ContestSpec, profile: ProfileLike, i: int) -> float:
         raise IndexError(f"miner index {i} out of range for n={spec.n}")
     qi = float(q[i])
     x = shares(spec, q).shares[i]
-    if spec.alpha == 1.0:
-        total = float(q.sum())
-        if total <= 0.0:
+    if spec.alpha == 1.0:  # the sum on q / max(q), as shares, cannot overflow
+        top = float(q.max())
+        if top == 0.0:
             raise ValueError("marginal share undefined at the all-zero profile")
-        return (1.0 - x) / total
+        return (1.0 - x) / float((q / top).sum()) / top
     if qi <= 0.0:
         raise ValueError(
             "marginal share is degenerate at q_i = 0 for alpha > 1"
@@ -198,16 +198,17 @@ def marginal_share(spec: ContestSpec, profile: ProfileLike, i: int) -> float:
 
 def concentration(spec: ContestSpec, profile: ProfileLike) -> ConcentrationReport:
     """Participation count, HHI, cumulative top-k shares, rent dissipation.
-    A spend beyond the float range is a rent dissipation of +inf."""
+    Rent dissipation is the spend per prize, sum_i (c_i / V) * q_i at the
+    unit-prize costs; one beyond the float range is +inf."""
     q = as_investments(spec, profile)
     x = np.asarray(shares(spec, q).shares)
     top_k = np.cumsum(np.sort(x)[::-1])
     with np.errstate(over="ignore"):
-        spent = float(np.dot(np.asarray(spec.costs), q))
+        spent = float(np.dot(unit_costs(spec), q))
     return ConcentrationReport(
         participant_count=int(np.count_nonzero(q > 0)),
         hhi=float(np.dot(x, x)),
         top_k_shares=tuple(top_k.tolist()),
-        rent_dissipation=spent / spec.prize,
+        rent_dissipation=spent,
     )
 

@@ -18,8 +18,12 @@ statuses report what happened.
 
 Idle miners (q = 0 at the round start) sit in segments facing one
 opposition. A segment whose cheapest miner passes best_response._abstains
-(margin 1e-9 over rounding) gets the exact 0.0 without an update, and idle
-zeros add exactly: O(active + segments) Python work a round, bit for bit.
+(margin 1e-9 over rounding) keeps its exact 0.0 without an update, and idle
+zeros add exactly. The segments and their cheapest costs are rebuilt only
+in a round whose active list differs from the previous round's, and the
+cycle check keys each profile on its active indices and investments. A
+round whose active list repeats is O(active + segments) Python work, bit
+for bit.
 
 Prize boundary: run_dynamics takes the unit-prize costs from
 core.unit_costs once and updates with the prize-free kernels of
@@ -29,6 +33,7 @@ reports utilities in caller units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from numbers import Integral
@@ -110,27 +115,51 @@ def run_dynamics(
     for bit. An update that loses its miner over 1e-12 of the prize raises
     ArithmeticError (exact best responses never do); a power or aggregate
     power beyond the float range raises a ValueError that names it.
+
+    A screened segment needs no write unless the start holds a -0.0. Its
+    miners are idle, so each holds 0.0 or -0.0, and every write in the loop
+    is 0.0 or positive: _closed_form returns 0.0 or its q > 0, _nearest
+    picks 0.0 or that q, the _maximizers sets hold 0.0 and math.exp values
+    (>= 0.0), and the screen writes 0.0. A miner facing zero opposition
+    keeps its incumbent, so a -0.0 can only come from the start, and only
+    then does the screen fill 0.0 in, as the update would. The -0.0 is not
+    normalised up front: with no opposition the update keeps it.
+
+    The cycle key (active indices, their investments) is equal for two
+    profiles exactly when the profiles are: the nonzero entries sit at the
+    same indices, and the zeros, which compare equal whatever their sign,
+    are left out.
     """
     costs, alpha = unit_costs(spec).tolist(), spec.alpha
     tol, closed_form, inf = config.convergence_tol, br._closed_form, np.inf
     q = as_investments(spec, config.initial_profile).tolist()
     if not any(qi > 0 for qi in q):
         raise ValueError("initial profile must have a positive investment")
+    fill = any(math.copysign(1.0, qi) < 0.0 for qi in q)  # a -0.0 start
     active = [i for i, qi in enumerate(q) if qi]
+    invested = [q[i] for i in active]
     snapshots = [tuple(q)]
-    seen = set(snapshots)  # tuples compare and hash -0.0 as 0.0
+    seen = {(tuple(active), tuple(invested))}
+    segmented = None  # the active list the segments were built on
     status = "max_rounds_exhausted"
     for _ in range(config.max_rounds):  # max_rounds >= 1
         # after[k]: the active powers from active miner k on, np.cumsum-wise
-        power = _powers(np.asarray([q[i] for i in active]), alpha).tolist()
+        power = (invested if alpha == 1.0 else
+                 _powers(np.asarray(invested), alpha).tolist())
         after = [*accumulate(reversed(power))][::-1] + [0.0]
-        starts, ends = [0] + [i + 1 for i in active], active + [len(q)]
+        if active != segmented:
+            segmented = active
+            starts, ends = [0] + [i + 1 for i in active], active + [len(q)]
+            cheapest = [min(costs[lo:hi]) if lo < hi else inf
+                        for lo, hi in zip(starts, ends)]
         before, moved, active = 0.0, False, []
         for k, (lo, hi) in enumerate(zip(starts, ends)):
             opposition = before + after[k]  # the whole segment's
             if (lo < hi and 0.0 < opposition < inf  # else updates keep/raise
-                    and br._abstains(min(costs[lo:hi]), alpha, opposition)):
-                q[lo:hi], lo = [0.0] * (hi - lo), hi  # their 0.0, on -0.0 too
+                    and br._abstains(cheapest[k], alpha, opposition)):
+                if fill:  # their 0.0 on a -0.0 too
+                    q[lo:hi] = [0.0] * (hi - lo)
+                lo = hi
             for i in range(lo, min(hi + 1, len(q))):
                 cost, qi, p = costs[i], q[i], power[k] if i == hi else 0.0
                 opposition = before + (after[k + 1] if i == hi else after[k])
@@ -166,9 +195,11 @@ def run_dynamics(
         if certificate is not None and certificate.certified:
             status = "converged"
             break
-        if snapshots[-1] in seen:
+        invested = [q[i] for i in active]
+        key = (tuple(active), tuple(invested))
+        if key in seen:
             status = "cycle_detected"
             break
-        seen.add(snapshots[-1])
+        seen.add(key)
     return Trajectory(profiles=tuple(snapshots), status=status, spec=spec,
                       certificate=certificate)

@@ -367,6 +367,37 @@ class TestIdleSegments:
         assert (outcome(run_dynamics, spec, config)
                 == outcome(full_scan_dynamics, spec, config))
 
+    def test_minus_zero_is_kept_at_zero_opposition(self):
+        # every power underflows at alpha 1.9, so each miner faces zero
+        # opposition and keeps its incumbent, the -0.0 included: a start
+        # normalised to 0.0 would not reproduce the run
+        spec = ContestSpec((9.553577604724057e290, 6.26734166035798e290,
+                            3.7582546853222795e290, 1.466906653765967e291,
+                            1e291, 1.2e291, 1.1e291), alpha=1.9)
+        start = (2.122417301554694e-290, 1.3892865002932656e-290,
+                 8.626750170344582e-293, 2.8787388822190614e-294,
+                 1.2023906846087299e-293, 0.0, -0.0)
+        config = DynamicsConfig(start, max_rounds=5)
+        t = run_dynamics(spec, config)
+        assert t.status == "cycle_detected"
+        assert repr(t.profiles) == repr((start, start))
+        assert math.copysign(1.0, t.terminal[-1]) == -1.0
+        assert (outcome(run_dynamics, spec, config)
+                == outcome(full_scan_dynamics, spec, config))
+
+    def test_segments_are_rebuilt_when_the_active_list_changes(self):
+        # rounds 3 and 4 start on round 2's active list and reuse its
+        # segments, with the idle miners 1 and 2 screened out; miner 4
+        # leaves in round 4, so round 5 rebuilds them
+        spec = ContestSpec((1.0, 4.0, 4.0, 1.0, 2.0))
+        config = DynamicsConfig((0.2, 0.2, 0.1, 0.05, 0.0))
+        t = run_dynamics(spec, config)
+        assert [tuple(i for i, qi in enumerate(p) if qi)
+                for p in t.profiles] == [(0, 1, 2, 3), (0, 3, 4), (0, 3, 4),
+                                         (0, 3, 4), (0, 3), (0, 3)]
+        assert (outcome(run_dynamics, spec, config)
+                == outcome(full_scan_dynamics, spec, config))
+
     @settings(max_examples=500)
     @given(models, st.floats(1e-300, 1e300), st.floats(-3e-9, 3e-9),
            st.floats(1.0, 4.0))

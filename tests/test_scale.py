@@ -30,6 +30,7 @@ from contesteq import (
     enumerate_equilibria,
     foc_residual,
     invert_share_weight,
+    marginal_share,
     run_dynamics,
     share_weight,
     shares,
@@ -299,6 +300,18 @@ class TestFloatRange:
     def test_shares_of_a_profile_whose_sum_overflows(self):
         x = no_warning(lambda: shares(ContestSpec((1.0,) * 3), (1e308,) * 3))
         assert x == MarketShares((1 / 3,) * 3)
+
+    def test_marginal_share_of_a_profile_whose_sum_overflows(self):
+        # (1 - x_0) / (q_0 + q_1) = 0.5 / 2e308 is a subnormal float
+        slope = no_warning(lambda: marginal_share(ContestSpec((1.0, 2.0)),
+                                                  (1e308, 1e308), 0))
+        assert slope == 2.5e-309
+
+    def test_rent_dissipation_of_a_spend_beyond_the_float_range(self):
+        # c_i * q_i overflows in caller units, not at the unit-prize costs
+        report = no_warning(lambda: concentration(
+            ContestSpec((1e300, 2e300), prize=1e300), (1e10, 1e10)))
+        assert report.rent_dissipation == 3e10
 
     def test_dynamics_response_whose_power_overflows_is_named(self):
         # miner 0 answers 2.08e222, whose power at alpha 1.4477 is no
