@@ -8,15 +8,15 @@ For alpha = 1 the maximizer is max(0, sqrt(prize * R / c) - R). For
 alpha > 1 utility is convex then concave in q, with the crossover exactly
 at share (alpha - 1) / (2 * alpha); the only interior candidate is the
 stationary point on the concave side, which is compared against
-abstaining; the per-set solve's share-gap kernel finds it (see
-_best_responses). The grid oracle is an exhaustive scan kept deliberately
+abstaining; one plain-float kernel on the per-set solve's share-gap Newton
+finds it, for certification and for one miner alike (see _best_responses
+and _stationary). The grid oracle is an exhaustive scan kept deliberately
 independent of both analytic paths.
 
 Prize boundary: the analytic oracles solve the unit-prize game at cost
 c / prize and multiply the utility they report by the prize, so their
 tolerances are relative to it. The helpers the rest of the package shares
-are prize-free: best-response dispatch and its kernels. Powers and
-oppositions come from core.
+are prize-free kernels. Powers and oppositions come from core.
 """
 
 from __future__ import annotations
@@ -65,14 +65,6 @@ def _maximizers(q: float, u: float) -> tuple[float, ...]:
             else (0.0, q) if u >= -TIE_TOL and q > 0.0 else (0.0,))
 
 
-def _best_response(cost: float, alpha: float,
-                   opposition_power: float) -> BestResponseResult:
-    """Unit-prize best response; raises NoBestResponse at zero opposition."""
-    if alpha == 1.0:
-        return best_response_proportional(cost, opposition_power)
-    return best_response_eos(cost, alpha, opposition_power)
-
-
 def _share_gaps(log_targets: list[float], start: list[float], alpha: float,
                 z_end: float) -> tuple[list[float], list[float]]:
     """Log share gaps z = log(1 - x) with share weight
@@ -112,7 +104,7 @@ def _share_gaps(log_targets: list[float], start: list[float], alpha: float,
 def _best_responses(
     costs: np.ndarray, alpha: float, oppositions: np.ndarray
 ) -> tuple[list[tuple[float, ...]], np.ndarray, np.ndarray, np.ndarray]:
-    """_best_response for every miner at once, at unit prize: the maximizer
+    """The unit-prize best response of every miner at once: the maximizer
     sets, the best utilities, and the utility of each interior candidate
     and the candidate (nan where there is none). A miner facing zero
     opposition has no best response: an empty set and best utility +inf.
@@ -122,12 +114,11 @@ def _best_responses(
     order. At alpha > 1 the first-order condition
     alpha*x**(1-1/alpha)*(1-x)**(1+1/alpha) = c*a**(1/alpha), raised to
     the power alpha/(alpha+1), is f(x) = t at exponent e = (alpha+1)/2,
-    with log t = (alpha*log c + log a - alpha*log alpha)/(alpha+1). f peaks
-    at the convexity crossover x = (alpha-1)/(2*alpha): a target at or above
-    the peak leaves no stationary point on the concave side, and the miner
-    abstains; one _share_gaps call past the peak solves the others. The
-    candidate q = (a*x/(1-x))**(1/alpha) earns x*(1 - alpha*(1 - x)).
-    ValueError when it leaves the float range.
+    with log t from _log_target. f peaks at the convexity crossover
+    x = (alpha-1)/(2*alpha): a target at or above the peak leaves no
+    stationary point on the concave side, and the miner abstains; one
+    _stationaries call solves the others. ValueError when a candidate
+    leaves the float range.
     """
     alone = oppositions == 0.0
     responses: list[tuple[float, ...]] = [(0.0,)] * costs.size
@@ -146,29 +137,55 @@ def _best_responses(
         inside = q > 0.0
         live, q, u = live[inside], q[inside], u[inside]
     else:
-        e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
-        z_peak, log_f_peak = _peak(alpha)
         log_a = np.log(a)
-        log_t = (alpha * np.log(c) + log_a - alpha * log_alpha) / (alpha + 1.0)
-        inside = log_t < log_f_peak
-        live, log_t = live[inside], log_t[inside].tolist()
-        q, u = [], []
-        for i, la, z in zip(live.tolist(), log_a[inside].tolist(),
-                            _share_gaps(log_t, log_t, e, z_peak)[0]):
-            x = -math.expm1(z)
-            try:
-                q.append(math.exp((la + math.log(x) - z) / alpha))
-            except OverflowError:
-                raise _beyond_range(float(costs[i]), float(oppositions[i]),
-                                    alpha) from None
-            u.append(-x * math.expm1(z + log_alpha))
-        q, u = np.asarray(q), np.asarray(u)
+        log_t = _log_target(c, alpha, log_a)
+        inside = log_t < _peak(alpha)[1]
+        live = live[inside]
+        q, u = np.array(_stationaries(alpha, log_a[inside].tolist(),
+                                      log_t[inside].tolist(),
+                                      c[inside], a[inside]))
     for i, qi, ui in zip(live.tolist(), q.tolist(), u.tolist()):
         responses[i] = _maximizers(qi, ui)
     best[live] = np.maximum(u, 0.0)
     interior[live] = u
     candidates[live] = q
     return responses, best, interior, candidates
+
+
+def _log_target(c, alpha: float, log_a):
+    """(alpha*log c + log a - alpha*log alpha)/(alpha+1) with numpy's log."""
+    return (alpha * np.log(c) + log_a - alpha * math.log(alpha)) / (alpha + 1)
+
+
+def _stationaries(alpha: float, log_a: list[float], log_t: list[float],
+                  costs, oppositions) -> tuple[list[float], list[float]]:
+    """q = (a*x/(1-x))**(1/alpha) and u = x*(1 - alpha*(1 - x)) per log
+    target below the peak, from one _share_gaps call up to it, in plain
+    floats; costs[k] and oppositions[k] name a q_k beyond the float range."""
+    log_alpha, q, u = math.log(alpha), [], []
+    gaps = _share_gaps(log_t, log_t, 0.5 * (alpha + 1.0), _peak(alpha)[0])[0]
+    for la, z in zip(log_a, gaps):
+        x = -math.expm1(z)
+        try:
+            q.append(math.exp((la + math.log(x) - z) / alpha))
+        except OverflowError:
+            k = len(q)
+            raise _beyond_range(float(costs[k]), float(oppositions[k]),
+                                alpha) from None
+        u.append(-x * math.expm1(z + log_alpha))
+    return q, u
+
+
+def _stationary(cost: float, opposition: float,
+                alpha: float) -> tuple[float, float]:
+    """_best_responses' alpha > 1 candidate and its utility for one miner
+    at a > 0, bit for bit, or (nan, nan) at or past the peak."""
+    log_a = float(np.log(opposition))
+    log_t = float(_log_target(cost, alpha, log_a))
+    if not log_t < _peak(alpha)[1]:
+        return math.nan, math.nan
+    (q,), (u,) = _stationaries(alpha, [log_a], [log_t], [cost], [opposition])
+    return q, u
 
 
 def _peak(alpha: float) -> tuple[float, float]:
@@ -185,25 +202,34 @@ def _abstains(cost: float, alpha: float, opposition_power: float) -> bool:
     margin dominates rounding (u = 2**-53). At alpha = 1, c*a > 1 + 0.9e-9,
     so _closed_form rounds sqrt(a/c) to at most a*(1+u)**1.5/sqrt(c*a) < a,
     or on its other branch 1/sqrt(c) to at most (1+u)**2/sqrt(c) <
-    (1-u)*sqrt(a): q <= 0 either way. At alpha > 1 the logs, numpy's and
-    math's, are within 4 ulps of logs under 745, so with the roundings a
-    finite log target moves under 2e-12, and the exact one grows with c.
-    Certification (_best_responses) and the dynamics' idle segments both
-    screen with it; at alpha = 1 it takes arrays as well."""
+    (1-u)*sqrt(a): q <= 0 either way. At alpha > 1 the target is
+    _stationary's own, numpy's logs included; a dearer miner's exact one is
+    larger, and numpy's log is within 4 ulps of logs under 745, so rounding
+    moves a target by under 2e-12, inside the margin. Certification at
+    alpha = 1 (on arrays) and the dynamics' idle segments screen with it."""
     if alpha == 1.0:
         return cost * opposition_power >= 1.0 + 1e-9
-    log_t = (alpha * math.log(cost) + math.log(opposition_power)
-             - alpha * math.log(alpha)) / (alpha + 1.0)
+    log_t = _log_target(cost, alpha, np.log(opposition_power))
     return _peak(alpha)[1] + 1e-9 <= log_t < math.inf
 
 
-def _check_inputs(cost: float, opposition: float, prize: float) -> float:
-    """The unit-prize cost cost / prize of checked inputs; the ValueError
-    of core.unit_costs when it leaves the float range."""
+def _check_numbers(cost: float, opposition: float, prize: float,
+                   name: str = "opposition") -> None:
+    """A ValueError naming a NaN argument, a cost or prize that is not
+    positive, or a negative opposition."""
+    for arg, value in (("cost", cost), (name, opposition), ("prize", prize)):
+        if math.isnan(value):
+            raise ValueError(f"{arg} must not be NaN")
     if cost <= 0 or prize <= 0:
         raise ValueError("cost and prize must be positive")
     if opposition < 0:
-        raise ValueError("opposition must be >= 0")
+        raise ValueError(f"{name} must be >= 0")
+
+
+def _check_inputs(cost: float, opposition: float, prize: float) -> float:
+    """The unit-prize cost cost / prize of inputs _check_numbers passes; the
+    ValueError of core.unit_costs when it leaves the float range."""
+    _check_numbers(cost, opposition, prize)
     if opposition == 0.0:
         raise NoBestResponse(ZERO_OPPOSITION)
     unit = cost / prize
@@ -251,18 +277,17 @@ def best_response_eos(
 
     The stationary point with share beyond the convexity crossover
     (alpha-1)/(2*alpha), where utility is strictly concave, is the root of
-    one share-weight equation (see _best_responses, of which this is the
-    batch of one); returns it, abstention, or both when their utilities tie
-    within 1e-12 of the prize. No stationary point on that branch means
-    abstain. Raises ValueError when the response leaves the float range.
+    one share-weight equation (see _stationary); returns it, abstention, or
+    both when their utilities tie within 1e-12 of the prize. No stationary
+    point on that branch means abstain. Raises ValueError when the response
+    leaves the float range, and for a non-finite alpha.
     """
-    if alpha <= 1:
-        raise ValueError("use best_response_proportional for alpha = 1")
-    unit = _check_inputs(cost, opposition_power, prize)
-    responses, best, _, candidate = _best_responses(
-        np.asarray([unit]), alpha, np.asarray([opposition_power]))
-    q = float(candidate[0])
-    return BestResponseResult(responses[0], prize * float(best[0]),
+    if not 1 < alpha < math.inf:
+        raise ValueError("use best_response_proportional for alpha = 1"
+                         if alpha <= 1 else f"alpha {alpha!r} is not finite")
+    q, u = _stationary(_check_inputs(cost, opposition_power, prize),
+                       opposition_power, alpha)
+    return BestResponseResult(_maximizers(q, u), prize * max(0.0, u),
                               None if math.isnan(q) else q)
 
 
@@ -281,10 +306,7 @@ def grid_oracle(
     zero opposition is not an error here: the scan simply reports the
     smallest grid point (the supremum is approached, never attained).
     """
-    if cost <= 0 or prize <= 0:
-        raise ValueError("cost and prize must be positive")
-    if opposition_power < 0:
-        raise ValueError("opposition power must be >= 0")
+    _check_numbers(cost, opposition_power, prize, "opposition power")
     hi = prize / cost
     step = grid_step if grid_step is not None else 1e-6 * hi
     if step <= 0:

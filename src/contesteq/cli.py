@@ -382,7 +382,9 @@ def cmd_best_response(args) -> int:
     opposition = float(_opposition_powers(q, spec.alpha)[miner])
     cost = float(unit_costs(spec)[miner])
     try:
-        result = br._best_response(cost, spec.alpha, opposition)
+        result = (br.best_response_proportional(cost, opposition)
+                  if spec.alpha == 1.0
+                  else br.best_response_eos(cost, spec.alpha, opposition))
     except br.NoBestResponse as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_SPEC

@@ -3,9 +3,9 @@
 Within a round, miners update sequentially in index order, each to an
 exact best response against the current state of everyone else
 (Gauss-Seidel; simultaneous updates oscillate trivially in contests).
-Ties between abstaining and the interior optimum break toward the
-incumbent action. A miner facing zero aggregate opposition has no best
-response and keeps its incumbent investment.
+Ties between abstaining and the interior candidate of _closed_form, or of
+_stationary at alpha > 1, break toward the incumbent action. A miner with
+zero aggregate opposition has no best response and keeps its investment.
 
 Termination: a quiet round, whose largest spend change max_i c_i * |dq_i|,
 a share of the prize, is at most convergence_tol, ends the run as
@@ -44,7 +44,8 @@ import numpy as np
 from . import best_response as br
 from .core import (ContestSpec, _aggregate_beyond_range, _powers,
                    as_investments, shares, unit_costs, unit_utilities)
-from .eos import CERT_TOL, EquilibriumCertificate, verify_equilibrium
+from .eos import (CERT_TOL, EquilibriumCertificate, _check_tol,
+                  verify_equilibrium)
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,9 @@ def run_dynamics(
 
     A screened segment needs no write unless the start holds a -0.0. Its
     miners are idle, so each holds 0.0 or -0.0, and every write in the loop
-    is 0.0 or positive: _closed_form returns 0.0 or its q > 0, _nearest
-    picks 0.0 or that q, the _maximizers sets hold 0.0 and math.exp values
-    (>= 0.0), and the screen writes 0.0. A miner facing zero opposition
+    is 0.0 or positive: a one-miner form gives 0.0 or q > 0 (math.exp
+    gives no -0.0), or a nan q and u, which target 0.0; _nearest picks 0.0
+    or q, and the screen writes 0.0. A miner facing zero opposition
     keeps its incumbent, so a -0.0 can only come from the start, and only
     then does the screen fill 0.0 in, as the update would. The -0.0 is not
     normalised up front: with no opposition the update keeps it.
@@ -131,7 +132,10 @@ def run_dynamics(
     are left out.
     """
     costs, alpha = unit_costs(spec).tolist(), spec.alpha
-    tol, closed_form, inf = config.convergence_tol, br._closed_form, np.inf
+    tol, inf = config.convergence_tol, np.inf
+    _check_tol(verify_tol, "verify_tol")
+    form = (br._closed_form if alpha == 1.0
+            else lambda cost, a: br._stationary(cost, a, alpha))
     q = as_investments(spec, config.initial_profile).tolist()
     if not any(qi > 0 for qi in q):
         raise ValueError("initial profile must have a positive investment")
@@ -166,15 +170,12 @@ def run_dynamics(
                 if opposition != 0.0:  # else no best response: keep it
                     if opposition + p == inf:  # the state miner i faces
                         raise _aggregate_beyond_range(q, alpha)
-                    if alpha == 1.0:  # the closed form in plain floats
-                        interior, u = closed_form(cost, opposition)
-                        response = target = (interior if u > br.TIE_TOL else
-                                             _nearest(qi, 0.0, interior))
-                    else:
-                        maximizers = br._best_response(
-                            cost, alpha, opposition).optimal_investments
-                        target = _nearest(qi, maximizers[0], maximizers[-1])
-                        response = float(_powers(target, alpha))
+                    interior, u = form(cost, opposition)
+                    target = (interior if u > br.TIE_TOL
+                              else _nearest(qi, 0.0, interior)
+                              if u >= -br.TIE_TOL else 0.0)
+                    response = (target if alpha == 1.0
+                                else float(_powers(target, alpha)))
                     if opposition + response == inf:  # the state it leaves
                         raise _aggregate_beyond_range(q, alpha)
                     gain = (response / (response + opposition) - cost * target

@@ -105,6 +105,12 @@ class PairwiseBound(NamedTuple):
     ok: bool
 
 
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """A ValueError unless tol is finite and >= 0 (see SCREEN_FLOOR on 0)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, not {tol!r}")
+
+
 def participation_cap(alpha: float) -> int:
     """Most participants any equilibrium can have: floor(1 + 1/(alpha-1)),
     boundary-inclusive (integer values of 1 + 1/(alpha-1) are admitted)."""
@@ -169,6 +175,7 @@ def verify_equilibrium(
     O(n): every opposition comes from one prefix/suffix-sum pass, and the
     best responses from one pass of best_response._best_responses.
     """
+    _check_tol(tol)
     costs, v = unit_costs(spec), spec.prize
     q = as_investments(spec, profile)
     oppositions = _opposition_powers(q, spec.alpha)
@@ -236,6 +243,7 @@ def solve_for_set(
     """
     if spec.alpha <= 1.0:
         raise ValueError("use the proportional solver for alpha = 1")
+    _check_tol(tol)
     s_idx = _validate_set(spec, participant_set)
     solution = _solve(spec, s_idx)
     return None if solution is None else _candidate(spec, s_idx, solution,
@@ -370,6 +378,7 @@ def enumerate_equilibria(spec: ContestSpec,
     if spec.n > MAX_MINERS:
         raise ValueError(
             f"n={spec.n} exceeds the enumeration cap {MAX_MINERS}")
+    _check_tol(tol)
     alpha, n = spec.alpha, spec.n
     top = min(participation_cap(alpha), n)
     order = sorted(range(n), key=lambda i: (spec.costs[i], i))

@@ -7,10 +7,12 @@ compares it with an independent reference:
 - dynamics_rounds: the workload's own run and check, and each run equal,
   repr for repr, to the full scan that sends idle miners through the
   update too (scalar_oracle.full_scan_dynamics);
-- certify_large: the workload's own run and check, and on the alpha = 1
-  cases the certificate's screened best responses equal, bit for bit, to
-  the closed form on whole arrays that screens no miner out
-  (scalar_oracle.vector_closed_form);
+- certify_large: the workload's own run and check, and the certificate's
+  best responses equal, bit for bit, to an independent lane: on the
+  alpha = 1 cases the closed form on whole arrays that screens no miner
+  out (scalar_oracle.vector_closed_form), and on the alpha > 1 cases the
+  earlier vectorised lane with its own log target and kernel loop
+  (scalar_oracle.vector_eos_lane);
 - eos_search: enumerate_equilibria equal, repr for repr, to the
   exhaustive subset search (scalar_oracle.brute_force_equilibria).
 
@@ -28,7 +30,7 @@ from contesteq import best_response as br
 from contesteq.core import _opposition_powers, as_investments, unit_costs
 import workloads
 from scalar_oracle import (brute_force_equilibria, full_scan_dynamics,
-                           vector_closed_form)
+                           vector_closed_form, vector_eos_lane)
 
 SEEDS = (1, 2, 3, 4)
 
@@ -50,13 +52,17 @@ def lane(responses, *arrays):
 def certify_large(work, op) -> list[str]:
     out = work.run(ce, op)
     failures = work.check(ce, op, out)
-    if op.spec.alpha == 1.0:
-        costs = unit_costs(op.spec)
-        a = _opposition_powers(as_investments(op.spec, out[0].investments),
-                               1.0)
-        if (lane(*br._best_responses(costs, 1.0, a))
-                != lane(*vector_closed_form(costs, a))):
-            failures.append("differs from vector_closed_form")
+    alpha, costs = op.spec.alpha, unit_costs(op.spec)
+    profile = out[0] if alpha == 1.0 else out
+    if profile is None:  # the pair does not solve: nothing was certified
+        return failures
+    a = _opposition_powers(as_investments(op.spec, profile.investments),
+                           alpha)
+    reference = (vector_closed_form(costs, a) if alpha == 1.0
+                 else vector_eos_lane(costs, alpha, a))
+    if lane(*br._best_responses(costs, alpha, a)) != lane(*reference):
+        failures.append("differs from vector_closed_form" if alpha == 1.0
+                        else "differs from vector_eos_lane")
     return failures
 
 

@@ -4,9 +4,12 @@ Each miner's opposition is summed over a fresh O(n) mask and each best
 response comes from the scalar oracle, one miner at a time: O(n^2) per
 certificate or dynamics round. The alpha = 1 best responses of a whole
 profile also come from the closed form on whole arrays, with no miner
-screened out. The alpha > 1 best response bisects on the marginal
+screened out, and the alpha > 1 ones from the certificate's earlier
+vectorised lane, which carries its own log target and its own loop over
+the share-gap kernel. The alpha > 1 best response bisects on the marginal
 utility in q. The full-scan dynamics sends every miner through
-the update in every round, idle ones included. The per-set solve nests
+the update in every round, idle ones included, and takes its alpha > 1
+updates from that earlier lane as a batch of one. The per-set solve nests
 scalar bisections: one on the power scale s, and one per member and step
 to invert the share weight f. Enumeration solves and certifies every
 subset up to the participation cap. The convexity crossover of utility
@@ -57,6 +60,16 @@ def entry_cost(alpha: float, opposition: float) -> float:
     r = (alpha - 1.0) / (2.0 * alpha)
     q_lo = (opposition * r / (1.0 - r)) ** (1.0 / alpha)
     return alpha * r * (1.0 - r) / q_lo
+
+
+def best_response(cost: float, alpha: float,
+                  opposition_power: float) -> br.BestResponseResult:
+    """The unit-prize best response of either model: the public
+    best_response_proportional at alpha = 1, else best_response_eos;
+    NoBestResponse at zero opposition."""
+    if alpha == 1.0:
+        return br.best_response_proportional(cost, opposition_power)
+    return br.best_response_eos(cost, alpha, opposition_power)
 
 
 def reference_best_response_eos(cost: float, alpha: float,
@@ -131,6 +144,49 @@ def vector_closed_form(costs: np.ndarray, oppositions: np.ndarray):
     return responses, best, interior, candidates
 
 
+def vector_eos_lane(costs: np.ndarray, alpha: float,
+                    oppositions: np.ndarray):
+    """_best_responses at alpha > 1 as one vectorised lane with its own copy
+    of the log target (alpha*log c + log a - alpha*log alpha)/(alpha+1)
+    and its own loop over the share-gap kernel: the certificate's lane
+    before best_response._stationaries took over its post-screen work. A
+    target at or above the peak abstains, and the rest go through one
+    _share_gaps call up to the peak; a candidate beyond the float range
+    raises as it is met, in index order."""
+    alone = oppositions == 0.0
+    responses = [(0.0,)] * costs.size
+    for i in np.flatnonzero(alone).tolist():
+        responses[i] = ()
+    best = np.where(alone, np.inf, 0.0)
+    interior = np.full(costs.size, np.nan)
+    candidates = np.full(costs.size, np.nan)
+    live = np.flatnonzero(~alone)
+    c, a = costs[live], oppositions[live]
+    e, log_alpha = 0.5 * (alpha + 1.0), math.log(alpha)
+    z_peak, log_f_peak = br._peak(alpha)
+    log_a = np.log(a)
+    log_t = (alpha * np.log(c) + log_a - alpha * log_alpha) / (alpha + 1.0)
+    inside = log_t < log_f_peak
+    live, log_t = live[inside], log_t[inside].tolist()
+    q, u = [], []
+    for i, la, z in zip(live.tolist(), log_a[inside].tolist(),
+                        br._share_gaps(log_t, log_t, e, z_peak)[0]):
+        x = -math.expm1(z)
+        try:
+            q.append(math.exp((la + math.log(x) - z) / alpha))
+        except OverflowError:
+            raise br._beyond_range(float(costs[i]), float(oppositions[i]),
+                                   alpha) from None
+        u.append(-x * math.expm1(z + log_alpha))
+    q, u = np.asarray(q), np.asarray(u)
+    for i, qi, ui in zip(live.tolist(), q.tolist(), u.tolist()):
+        responses[i] = br._maximizers(qi, ui)
+    best[live] = np.maximum(u, 0.0)
+    interior[live] = u
+    candidates[live] = q
+    return responses, best, interior, candidates
+
+
 def reference_verify(spec, profile, tol=CERT_TOL,
                      opposition=masked_opposition) -> EquilibriumCertificate:
     """verify_equilibrium miner by miner: opposition(q, alpha, i), then the
@@ -143,7 +199,7 @@ def reference_verify(spec, profile, tol=CERT_TOL,
     for i, cost in enumerate(costs):
         a = opposition(q, spec.alpha, i)
         try:
-            result = br._best_response(cost, spec.alpha, a)
+            result = best_response(cost, spec.alpha, a)
         except br.NoBestResponse as exc:
             verdicts.append(MinerVerdict(
                 miner=i, investment=float(q[i]), utility=v * u[i],
@@ -177,7 +233,7 @@ def reference_dynamics(spec, config, verify_tol=CERT_TOL):
             a = masked_opposition(q, spec.alpha, i)
             if a == 0.0:
                 continue
-            result = br._best_response(cost, spec.alpha, a)
+            result = best_response(cost, spec.alpha, a)
             q[i] = min(result.optimal_investments,
                        key=lambda m: (abs(m - q[i]), m))
         spend = max(c * abs(new - old)
@@ -196,7 +252,9 @@ def full_scan_dynamics(spec, config, verify_tol=CERT_TOL):
     """run_dynamics sending every miner through the update in every round,
     idle miners included: the round loop before idle segments were
     screened, kept so that run_dynamics can be required to equal it, repr
-    for repr."""
+    for repr. Its alpha > 1 update is the earlier one, independent of
+    best_response._stationary: a batch of one through vector_eos_lane,
+    whose maximizer set gives the end nearer the incumbent."""
     costs, alpha = unit_costs(spec).tolist(), spec.alpha
     tol, closed_form, inf = config.convergence_tol, br._closed_form, np.inf
     q = as_investments(spec, config.initial_profile).tolist()
@@ -222,8 +280,8 @@ def full_scan_dynamics(spec, config, verify_tol=CERT_TOL):
                     response = target = (interior if u > br.TIE_TOL else
                                          _nearest(qi, 0.0, interior))
                 else:
-                    maximizers = br._best_response(
-                        cost, alpha, opposition).optimal_investments
+                    (maximizers,), *_ = vector_eos_lane(
+                        np.asarray([cost]), alpha, np.asarray([opposition]))
                     target = _nearest(qi, maximizers[0], maximizers[-1])
                     response = float(_powers(target, alpha))
                 if opposition + response == inf:  # the state it leaves

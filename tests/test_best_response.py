@@ -269,3 +269,38 @@ class TestInputChecks:
     def test_negative_opposition(self, oracle, message):
         with pytest.raises(ValueError, match=message):
             oracle(1.0, -1.0)
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: best_response_proportional(math.nan, 1.0),
+                     "cost must not be NaN", id="proportional-cost"),
+        pytest.param(lambda: best_response_proportional(1.0, math.nan),
+                     "opposition must not be NaN",
+                     id="proportional-opposition"),
+        pytest.param(lambda: best_response_proportional(1.0, 1.0, math.nan),
+                     "prize must not be NaN", id="proportional-prize"),
+        pytest.param(lambda: best_response_eos(math.nan, 1.5, 1.0),
+                     "cost must not be NaN", id="eos-cost"),
+        pytest.param(lambda: best_response_eos(1.0, 1.5, math.nan),
+                     "opposition must not be NaN", id="eos-opposition"),
+        pytest.param(lambda: best_response_eos(1.0, math.nan, 1.0),
+                     "alpha nan is not finite", id="eos-nan-alpha"),
+        pytest.param(lambda: best_response_eos(1.0, math.inf, 1.0),
+                     "alpha inf is not finite", id="eos-infinite-alpha"),
+        pytest.param(lambda: grid_oracle(math.nan, 1.5, 1.0, grid_step=0.1),
+                     "cost must not be NaN", id="grid-cost"),
+        pytest.param(lambda: grid_oracle(1.0, 1.5, math.nan, grid_step=0.1),
+                     "opposition power must not be NaN", id="grid-opposition"),
+        pytest.param(lambda: grid_oracle(1.0, 1.5, 1.0, grid_step=0.1,
+                                         prize=math.nan),
+                     "prize must not be NaN", id="grid-prize"),
+    ])
+    def test_nan_arguments_and_a_non_finite_alpha_are_named(self, call,
+                                                            message):
+        # each used to abstain, return nan, or name the float range
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_infinite_opposition_still_abstains(self):
+        result = best_response_eos(1.0, 1.5, math.inf)
+        assert (result.optimal_investments, result.optimal_utility,
+                result.interior_candidate) == ((0.0,), 0.0, None)

@@ -16,7 +16,7 @@ from contesteq import (
 from contesteq import best_response as br
 from contesteq.core import _powers
 from contesteq.dynamics import _nearest
-from scalar_oracle import full_scan_dynamics
+from scalar_oracle import best_response, full_scan_dynamics
 
 EXAMPLE1_COSTS = tuple(i / (i + 1) for i in range(1, 11))
 
@@ -407,7 +407,7 @@ class TestIdleSegments:
             return
         if br._abstains(cost, alpha, a):
             for c in (cost, scale * cost):  # and every dearer miner
-                assert br._best_response(c, alpha, a).optimal_investments == (
+                assert best_response(c, alpha, a).optimal_investments == (
                     0.0,)
 
     @pytest.mark.parametrize("cost, alpha, a", [
@@ -418,13 +418,11 @@ class TestIdleSegments:
     ])
     def test_knife_edges_inside_the_margin_are_not_screened(self, cost,
                                                             alpha, a):
-        # c*a rounds to 1, or math.log's target reaches the peak, so a
-        # screen without its margin passes; yet the closed form ties with
-        # a positive investment (numpy's logs at alpha > 1 may round
-        # either way, so only the alpha = 1 tie is asserted)
-        if alpha == 1.0:
-            assert br._best_response(cost, alpha, a).optimal_investments != (
-                0.0,)
+        # c*a rounds to 1, or the log target taken with math.log reaches
+        # the peak, so a screen without its margin would pass; yet the best
+        # response ties with a positive investment (at alpha > 1 the
+        # screen's own numpy logs put the target just below the peak)
+        assert best_response(cost, alpha, a).optimal_investments != (0.0,)
         assert not br._abstains(cost, alpha, a)
 
     @settings(max_examples=200)
@@ -433,3 +431,15 @@ class TestIdleSegments:
         cost = threshold_cost(alpha, a, offset)
         if 0.0 < cost < math.inf:
             assert br._abstains(cost, alpha, a)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_a_bad_verify_tol_is_rejected_by_name(tol):
+    # at tol = nan no quiet round certified, and the run ended
+    # cycle_detected after 15 rounds instead of converging in 10
+    spec = ContestSpec((1.0, 1.2, 2.0))
+    config = DynamicsConfig((0.3, 0.2, 0.1))
+    assert run_dynamics(spec, config).status == "converged"
+    with pytest.raises(ValueError,
+                       match="verify_tol must be finite and >= 0"):
+        run_dynamics(spec, config, verify_tol=tol)

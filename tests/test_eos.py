@@ -784,3 +784,35 @@ class TestPairwiseBound:
             spec = ContestSpec(costs=costs, alpha=alpha)
             for eq in enumerate_equilibria(spec):
                 assert all(r.ok for r in pairwise_bound_check(spec, eq))
+
+
+#: the spec of the certification-tolerance checks, whose cheapest pair is
+#: its one equilibrium at tol = 0 and at the default
+TOL_SPEC = ContestSpec((1.0, 1.2, 2.0), alpha=1.5)
+BAD_TOLS = [math.nan, -1.0, math.inf]
+
+
+class TestCertificationTolerance:
+    """A negative or non-finite tol used to certify nothing or to drop every
+    set without a word; it is rejected by name, and tol = 0 stays valid."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_enumerate_rejects_it(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            enumerate_equilibria(TOL_SPEC, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_solve_for_set_rejects_it(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            solve_for_set(TOL_SPEC, (0, 1), tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_verify_rejects_it(self, tol):
+        q = solve_for_set(TOL_SPEC, (0, 1)).investments
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            verify_equilibrium(TOL_SPEC, q, tol=tol)
+
+    def test_zero_is_valid(self):
+        eqs = enumerate_equilibria(TOL_SPEC, tol=0.0)
+        assert [eq.participants for eq in eqs] == [(0, 1)]
+        assert solve_for_set(TOL_SPEC, (0, 1), tol=0.0).certificate.certified

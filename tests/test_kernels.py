@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contesteq import (
     ContestSpec,
     DynamicsConfig,
+    best_response_eos,
     run_dynamics,
     solve_equilibrium,
     solve_for_set,
@@ -18,9 +19,10 @@ from contesteq import (
 )
 from contesteq import best_response as br
 from contesteq.core import _opposition_powers, unit_costs
-from scalar_oracle import (entry_cost, masked_opposition,
+from scalar_oracle import (best_response, entry_cost, masked_opposition,
                            reference_best_response_eos, reference_dynamics,
-                           reference_verify, vector_closed_form)
+                           reference_verify, vector_closed_form,
+                           vector_eos_lane)
 
 EPS = np.finfo(float).eps
 
@@ -122,8 +124,9 @@ class TestVectorisedCertification:
     @given(certification_cases())
     def test_best_responses_match_the_scalar_oracle(self, case):
         """Every miner's lane of the vectorised pass is exactly its batch of
-        one, which is the scalar oracle: maximizers, best utility, interior
-        utility and candidate, so no screen may drop a stationary point."""
+        one and the scalar best response: maximizers, best utility,
+        interior utility and candidate, so no screen may drop a stationary
+        point."""
         spec, q = case
         costs = unit_costs(spec)
         opposition = _opposition_powers(q, spec.alpha)
@@ -138,7 +141,7 @@ class TestVectorisedCertification:
             if a == 0.0:
                 assert (responses[i], best[i]) == ((), math.inf)
                 continue
-            result = br._best_response(float(costs[i]), spec.alpha, a)
+            result = best_response(float(costs[i]), spec.alpha, a)
             assert responses[i] == result.optimal_investments
             assert best[i] == result.optimal_utility
             candidate = result.interior_candidate
@@ -156,7 +159,7 @@ class TestVectorisedCertification:
             for cost in (edge * (1.0 - gap), edge * (1.0 + gap)):
                 responses, best, interior, _ = br._best_responses(
                     np.asarray([cost]), alpha, np.asarray([opposition]))
-                result = br._best_response(cost, alpha, opposition)
+                result = best_response(cost, alpha, opposition)
                 assert responses[0] == result.optimal_investments
                 assert best[0] == result.optimal_utility
                 assert math.isnan(interior[0]) == (
@@ -269,6 +272,117 @@ class TestAlphaOneLane:
                             or closed_form(*args))
         assert verify_equilibrium(spec, q).certified
         assert len(calls) == can_invest < spec.n // 10
+
+
+def knife_edge_cost(alpha, a, ulps, nudge):
+    """The cost whose log target against power a lies `ulps` ulps past
+    the peak, then `nudge` ulps of the cost away, so that the rounded log
+    target falls on either side of the peak within a few of its ulps."""
+    target = br._peak(alpha)[1]
+    for _ in range(abs(ulps)):
+        target = np.nextafter(target, math.copysign(math.inf, ulps))
+    cost = math.exp(((alpha + 1.0) * float(target) - math.log(a)
+                     + alpha * math.log(alpha)) / alpha)
+    for _ in range(abs(nudge)):
+        cost = float(np.nextafter(cost, math.copysign(math.inf, nudge)))
+    return cost
+
+
+@st.composite
+def eos_lanes(draw):
+    """An alpha > 1 (down to 1 + 2**-52) and unit-prize costs and opposition
+    powers of 1 to 40 miners, drawn four ways: magnitudes log-uniform over
+    1e-300 to 1e300, some oppositions 0; log targets within a few ulps of
+    the peak; costs down to 1e-323 against powers up to 1e308, where q
+    leaves the float range; and subnormal powers at alpha - 1 <= 1e-6 with
+    costs near 1e308 that put the log target at or just below the peak,
+    where q = alpha*x*(1-x)/c is subnormal, down to about 2e-322. (The log
+    target's rounding at these magnitudes, about 6e-14, keeps x far enough
+    above the convexity crossover that q never reaches 0.0.)"""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["magnitudes", "knife-edge", "float max",
+                                 "subnormal"]))
+    alpha = draw(st.floats(1.0 + 1e-9, 2.5) | st.sampled_from(
+        [1.0000001, 1.3, 1.5, 2.0, 2.5]))
+    if kind == "subnormal":
+        alpha = draw(st.sampled_from([1.0 + 2.0 ** -52, 1.0 + 1e-15])
+                     | st.floats(1.0 + 1e-12, 1.0 + 1e-6))
+    costs, oppositions = [], []
+    for _ in range(n):
+        if kind == "magnitudes":
+            cost = 10.0 ** draw(st.floats(-300.0, 300.0))
+            a = (10.0 ** draw(st.floats(-300.0, 300.0))
+                 if draw(st.integers(0, 4)) else 0.0)
+        elif kind == "knife-edge":
+            a = 10.0 ** draw(st.floats(-3.0, 3.0))
+            cost = knife_edge_cost(alpha, a, draw(st.integers(-6, 6)),
+                                   draw(st.integers(-4, 4)))
+        elif kind == "float max":
+            cost = 10.0 ** draw(st.floats(-323.0, -280.0))
+            a = 10.0 ** draw(st.floats(280.0, 308.0))
+        else:
+            a = draw(st.floats(5.7e-309, 2.2e-308))
+            cost = knife_edge_cost(alpha, a, 0, 0) * (
+                1.0 + draw(st.integers(-3000, 300)) * 2.0 ** -52)
+        costs.append(cost)
+        oppositions.append(a)
+    return np.asarray(costs), alpha, np.asarray(oppositions)
+
+
+def stationary_outcome(cost, alpha, a):
+    """_stationary's candidate and utility as hex bits, or its ValueError
+    text; a RuntimeWarning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return [v.hex() for v in br._stationary(cost, a, alpha)]
+        except ValueError as exc:
+            return str(exc)
+
+
+#: np.log and math.log differ on the cost 0.5418837358565641, which moves
+#: this miner's log target by an ulp
+LOGS_DIFFER = (np.asarray([0.5418837358565641]), 1.5, np.asarray([0.05]))
+
+
+class TestEosLane:
+    """The alpha > 1 lane: certification's vector screen before one
+    _stationaries call, and the one-miner _stationary, give what the
+    earlier vectorised lane gives, bit for bit, errors included."""
+
+    @settings(max_examples=300)
+    @given(eos_lanes())
+    @example(LOGS_DIFFER)
+    def test_certification_has_the_earlier_lane_bits(self, lane):
+        costs, alpha, oppositions = lane
+        assert (lane_outcome(lambda c, a: br._best_responses(c, alpha, a),
+                             costs, oppositions)
+                == lane_outcome(lambda c, a: vector_eos_lane(c, alpha, a),
+                                costs, oppositions))
+
+    @settings(max_examples=300)
+    @given(eos_lanes())
+    @example(LOGS_DIFFER)
+    def test_one_miner_form_has_the_earlier_lane_bits(self, lane):
+        costs, alpha, oppositions = lane
+        for cost, a in zip(costs.tolist(), oppositions.tolist()):
+            if a == 0.0:  # no best response: its callers never ask
+                continue
+            one = lane_outcome(lambda c, a: vector_eos_lane(c, alpha, a),
+                               np.asarray([cost]), np.asarray([a]))
+            if isinstance(one, str):
+                assert stationary_outcome(cost, alpha, a) == one
+                with pytest.raises(ValueError, match=one.split(" (")[0]):
+                    best_response_eos(cost, alpha, a)
+                continue
+            (sets,), (best, interior, candidates) = one
+            assert stationary_outcome(cost, alpha, a) == (candidates
+                                                          + interior)
+            result = best_response_eos(cost, alpha, a)
+            assert [v.hex() for v in result.optimal_investments] == sets
+            assert [result.optimal_utility.hex()] == best
+            assert ([float("nan").hex()] if result.interior_candidate is None
+                    else [result.interior_candidate.hex()]) == candidates
 
 
 class TestLinearDynamics:
