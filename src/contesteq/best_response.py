@@ -34,6 +34,7 @@ TIE_TOL = 1e-12
 #: smallest normal float: a quotient below it has lost digits
 _TINY = float(np.finfo(float).tiny)
 ZERO_OPPOSITION = "zero opposition: no best response exists"
+_GRID_BLOCK = 1 << 15
 
 
 class NoBestResponse(ValueError):
@@ -301,22 +302,36 @@ def grid_oracle(
     """Exhaustive utility scan over q in [0, prize/cost].
 
     Verification-only brute force: never consults the analytic formulas.
-    Default step is 1e-6 scaled by the domain width prize/cost. Resolution
-    of the returned argmax is one grid step. Unlike the analytic oracles,
-    zero opposition is not an error here: the scan simply reports the
-    smallest grid point (the supremum is approached, never attained).
+    The grid np.arange(0.0, prize/cost + step, step), default step 1e-6 *
+    prize/cost, is scanned in blocks of _GRID_BLOCK points i * step, in
+    O(block) memory and time linear in its length. The blocks combine by
+    np.argmax's rule, the first maximum or else the first NaN, so results
+    equal the whole-array scan's bit for bit. Zero opposition is no error
+    here: the scan reports the smallest positive point (the supremum is
+    never attained). ValueError for a non-finite alpha, a prize/cost out of
+    the float range, or a grid_step that is not positive and finite or
+    gives 2**60 points or more, beyond any numpy array of floats.
     """
     _check_numbers(cost, opposition_power, prize, "opposition power")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha {alpha!r} is not finite")
     hi = prize / cost
+    if not 0.0 < hi < math.inf:
+        raise unit_range_error(prize, cost, cost)
     step = grid_step if grid_step is not None else 1e-6 * hi
-    if step <= 0:
-        raise ValueError("grid_step must be positive")
-    q = np.arange(0.0, hi + step, step)
-    power = q**alpha
-    if opposition_power == 0.0:
-        u = np.full_like(q, prize) - cost * q
-        u[0] = 0.0  # all-zero profile pays nothing by convention
-    else:
-        u = prize * power / (power + opposition_power) - cost * q
-    k = int(np.argmax(u))
-    return BestResponseResult((float(q[k]),), float(u[k]), None)
+    if not (0.0 < step < math.inf and (hi + step) / step < 2.0**60):
+        raise ValueError(f"grid_step must be positive and finite, with "
+                         f"fewer than 2**60 points: {step!r}")
+    count = math.ceil((hi + step) / step)  # numpy's arange length
+    tops = []  # each block's first maximum or first NaN, and its point
+    for i0 in range(0, count, _GRID_BLOCK):
+        q = np.arange(i0, min(i0 + _GRID_BLOCK, count), dtype=float) * step
+        if opposition_power == 0.0:  # all-zero profile pays nothing
+            u = np.where(q > 0.0, prize - cost * q, 0.0)
+        else:
+            power = q**alpha
+            u = prize * power / (power + opposition_power) - cost * q
+        k = int(np.argmax(u))
+        tops.append((q[k], u[k]))
+    k = int(np.argmax([u for _, u in tops]))
+    return BestResponseResult((float(tops[k][0]),), float(tops[k][1]), None)

@@ -13,7 +13,8 @@ updates from that earlier lane as a batch of one. The per-set solve nests
 scalar bisections: one on the power scale s, and one per member and step
 to invert the share weight f. Enumeration solves and certifies every
 subset up to the participation cap. The convexity crossover of utility
-comes from a bisection on the sign of its second difference. Kept only
+comes from a bisection on the sign of its second difference. The grid
+scan builds its whole grid as one array and takes one argmax. Kept only
 as test-time cross-checks.
 """
 
@@ -413,3 +414,24 @@ def convexity_crossover(cost: float, alpha: float,
             break
     q = 0.5 * (lo + hi)
     return q**alpha / (q**alpha + a)
+
+
+def whole_grid_oracle(cost: float, alpha: float, opposition_power: float,
+                      grid_step=None, prize: float = 1.0
+                      ) -> br.BestResponseResult:
+    """br.grid_oracle as one argmax over the whole grid, built as one
+    np.arange: the body that the block scan replaced, unchanged."""
+    br._check_numbers(cost, opposition_power, prize, "opposition power")
+    hi = prize / cost
+    step = grid_step if grid_step is not None else 1e-6 * hi
+    if step <= 0:
+        raise ValueError("grid_step must be positive")
+    q = np.arange(0.0, hi + step, step)
+    power = q**alpha
+    if opposition_power == 0.0:
+        u = np.full_like(q, prize) - cost * q
+        u[0] = 0.0  # all-zero profile pays nothing by convention
+    else:
+        u = prize * power / (power + opposition_power) - cost * q
+    k = int(np.argmax(u))
+    return br.BestResponseResult((float(q[k]),), float(u[k]), None)

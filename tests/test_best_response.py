@@ -1,8 +1,10 @@
 import math
+import sys
+import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contesteq import (
     NoBestResponse,
@@ -10,9 +12,10 @@ from contesteq import (
     best_response_proportional,
     grid_oracle,
 )
-from contesteq.best_response import TIE_TOL
+from contesteq.best_response import _GRID_BLOCK, TIE_TOL
 from scalar_oracle import (convexity_crossover, entry_cost,
-                           reference_best_response_eos, utility_against)
+                           reference_best_response_eos, utility_against,
+                           whole_grid_oracle)
 
 
 class TestProportionalClosedForm:
@@ -193,7 +196,125 @@ class TestFloatRange:
                 best_response_eos(5e-324, 1.01, 1e308)
 
 
+@st.composite
+def grid_cases(draw):
+    """Arguments (cost, alpha, opposition power, grid_step, prize) of
+    grid_oracle. The step sets the point count n = ceil((prize/cost + step)
+    / step): k*B - 1, k*B or k*B + 1 for the block size B, or any count up
+    to 3*B + 1, or the default step's 1e6 points. Prizes run from 1e-8 to
+    1e8, and alpha is 1 or in (1, 2.5], except where a case needs more:
+    - "last": alpha in [4, 8] puts the maximum in the last block;
+    - "tie": a subnormal prize rounds utility to a few values, so the
+      maximum repeats over q in [0.18, 0.26] at least, across the block
+      boundary at q = 1/4;
+    - "nan": powers overflow to inf from a point in block 1 to 3, most
+      often its first, and inf / inf gives a NaN utility there.
+    Zero and infinite oppositions are drawn among the others."""
+    b = _GRID_BLOCK
+    kind = draw(st.sampled_from(["count", "count", "last", "tie", "nan",
+                                 "default"]))
+    prize = 10.0 ** draw(st.floats(-8.0, 8.0))
+    cost = prize * 10.0 ** draw(st.floats(-3.0, 3.0))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.5,
+                                                   exclude_min=True)))
+    n = draw(st.one_of(
+        st.builds(lambda k, d: k * b + d, st.integers(1, 3),
+                  st.sampled_from([-1, 0, 1])),
+        st.integers(2, 3 * b + 1)))
+    if kind == "last":
+        k = draw(st.sampled_from([2, 3]))
+        n, alpha = k * b - 1, draw(st.floats(4.0, 8.0))
+        # the stationary point at share x sits at r = alpha * x * (1 - x)
+        # of prize/cost, with positive utility for x > 1 - 1/alpha
+        r = draw(st.floats((k - 1) / k + 0.02, 1.0 - 1.0 / alpha - 0.01))
+        x = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * r / alpha))
+        opposition = (r * prize / cost) ** alpha * (1.0 - x) / x
+    elif kind == "tie":
+        prize = cost = draw(st.sampled_from([1e-322, 3e-322]))
+        alpha, opposition = 1.0, 0.5
+        n = 4 * b + draw(st.sampled_from([-1, 0, 1]))
+    elif kind == "nan":
+        onset = draw(st.integers(1, 3)) * b + draw(st.sampled_from(
+            [0, 0, 1, draw(st.integers(2, b - 1))]))
+        n, alpha = onset + draw(st.integers(1, b)), draw(st.floats(1.2, 3.0))
+        # q**alpha overflows just past sys.float_info.max**(1/alpha)
+        step = sys.float_info.max ** (1.0 / alpha) * (1.0 + 1e-12) / onset
+        cost = prize / ((n - 1.5) * step)
+        opposition = 10.0 ** draw(st.floats(-8.0, 300.0))
+        return cost, alpha, opposition, step, prize
+    else:
+        opposition = draw(st.sampled_from([
+            0.0, math.inf, (prize / cost) ** alpha
+            * 10.0 ** draw(st.floats(-4.0, 2.0))]))
+    if kind == "default":
+        return cost, alpha, opposition, None, prize
+    return cost, alpha, opposition, prize / cost / (n - 1.5), prize
+
+
+#: the maximum at points B - 1 and B, and at thousands more on both sides
+TIED_ACROSS_A_BOUNDARY = (1e-322, 1.0, 0.5, 1.0 / (4 * _GRID_BLOCK - 1.5),
+                          1e-322)
+#: q**2 overflows from point B on, where the first NaN utility is
+_ONSET_STEP = math.sqrt(sys.float_info.max) * (1.0 + 1e-12) / _GRID_BLOCK
+NAN_FROM_A_BLOCK_START = (1.0, 2.0, 1.0, _ONSET_STEP,
+                          (_GRID_BLOCK + 8.5) * _ONSET_STEP)
+
+
+def _outcome(oracle, case):
+    """The repr of the oracle's result, or its ValueError text."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return repr(oracle(*case))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 class TestGridOracle:
+    @settings(max_examples=300)
+    @given(case=grid_cases())
+    @example(case=TIED_ACROSS_A_BOUNDARY)
+    @example(case=NAN_FROM_A_BLOCK_START)
+    def test_block_scan_equals_the_whole_array_scan(self, case):
+        assert _outcome(grid_oracle, case) == _outcome(whole_grid_oracle,
+                                                       case)
+
+    def test_scan_memory_stays_within_a_few_blocks(self):
+        # the whole-array scan of these 1e6 points peaks near 30 MB
+        tracemalloc.start()
+        try:
+            grid_oracle(1.1, 1.3, 0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param(dict(prize=1e200, cost=1e-200), id="overflow"),
+        pytest.param(dict(prize=1e-100, cost=1e300), id="underflow"),
+        pytest.param(dict(prize=1e-100, cost=1e300, grid_step=0.1),
+                     id="underflow-with-step"),
+    ])
+    def test_costs_over_prize_outside_the_float_range_are_named(self,
+                                                                kwargs):
+        # these raised numpy's arange error, a grid_step error, or
+        # returned (0.0,) at utility 0
+        with pytest.raises(ValueError, match="leaves the float range"):
+            grid_oracle(alpha=1.5, opposition_power=1.0, **kwargs)
+
+    @pytest.mark.parametrize("step, prize", [
+        pytest.param(math.nan, 1.0, id="nan"),
+        pytest.param(math.inf, 1.0, id="inf"),
+        pytest.param(1e-300, 1.0, id="beyond-2**60-points"),
+        pytest.param(1e308, 1e308, id="length-overflows"),
+    ])
+    def test_non_finite_or_too_fine_steps_are_named(self, step, prize):
+        # these raised numpy's "arange: cannot compute length" or
+        # "Maximum allowed size exceeded"
+        with pytest.raises(ValueError, match="grid_step must be positive "
+                                             "and finite, with fewer than"):
+            grid_oracle(1.0, 1.5, 1.0, grid_step=step, prize=prize)
+
     @settings(max_examples=60)
     @given(
         cost=st.floats(0.5, 2.0),
@@ -293,6 +414,13 @@ class TestInputChecks:
         pytest.param(lambda: grid_oracle(1.0, 1.5, 1.0, grid_step=0.1,
                                          prize=math.nan),
                      "prize must not be NaN", id="grid-prize"),
+        pytest.param(lambda: grid_oracle(1.0, math.nan, 1.0, grid_step=0.1),
+                     "alpha nan is not finite", id="grid-nan-alpha"),
+        pytest.param(lambda: grid_oracle(1.0, math.inf, 1.0, grid_step=0.1),
+                     "alpha inf is not finite", id="grid-infinite-alpha"),
+        pytest.param(lambda: grid_oracle(1.0, -math.inf, 1.0,
+                                         grid_step=0.1),
+                     "alpha -inf is not finite", id="grid-minus-inf-alpha"),
     ])
     def test_nan_arguments_and_a_non_finite_alpha_are_named(self, call,
                                                             message):
@@ -304,3 +432,6 @@ class TestInputChecks:
         result = best_response_eos(1.0, 1.5, math.inf)
         assert (result.optimal_investments, result.optimal_utility,
                 result.interior_candidate) == ((0.0,), 0.0, None)
+        scan = grid_oracle(1.0, 1.5, math.inf, grid_step=0.1)
+        assert (scan.optimal_investments, scan.optimal_utility) == ((0.0,),
+                                                                    0.0)
