@@ -2,10 +2,13 @@
 
 from .best_response import (
     BestResponseResult,
+    EquilibriumCertificate,
+    MinerVerdict,
     NoBestResponse,
     best_response_eos,
     best_response_proportional,
     grid_oracle,
+    verify_equilibrium,
 )
 from .core import (
     ConcentrationReport,
@@ -19,8 +22,6 @@ from .core import (
 from .dynamics import DynamicsConfig, Trajectory, run_dynamics
 from .eos import (
     EosEquilibrium,
-    EquilibriumCertificate,
-    MinerVerdict,
     PairwiseBound,
     enumerate_equilibria,
     invert_share_weight,
@@ -28,7 +29,6 @@ from .eos import (
     participation_cap,
     share_weight,
     solve_for_set,
-    verify_equilibrium,
 )
 from .proportional import (
     ProportionalEquilibrium,

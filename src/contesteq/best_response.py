@@ -1,4 +1,4 @@
-"""Best-response oracles: closed form, share-weight Newton, and brute force.
+"""Best-response oracles, and the equilibrium certificate built on them.
 
 Against fixed opponents a miner maximizes prize * x(q) - c * q where
 x(q) = q**alpha / (q**alpha + A) and A is the opponents' aggregate power
@@ -13,24 +13,31 @@ finds it, for certification and for one miner alike (see _best_responses
 and _stationary). The grid oracle is an exhaustive scan kept deliberately
 independent of both analytic paths.
 
-Prize boundary: the analytic oracles solve the unit-prize game at cost
-c / prize and multiply the utility they report by the prize, so their
-tolerances are relative to it. The helpers the rest of the package shares
-are prize-free kernels. Powers and oppositions come from core.
+verify_equilibrium certifies a profile of either model miner by miner
+against these best responses; the verdict rule and its records live here.
+
+Prize boundary: the analytic oracles and verify_equilibrium solve the
+unit-prize game at cost c / prize and report utilities times the prize, so
+their tolerances are relative to it. The helpers the rest of the package
+shares are prize-free kernels. Powers and oppositions come from core.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import unit_range_error
+from .core import (ContestSpec, ProfileLike, _opposition_powers,
+                   as_investments, shares, unit_costs, unit_range_error,
+                   unit_utilities)
 
 #: both-maximizers reporting threshold on the utility gap, a share of prize
 TIE_TOL = 1e-12
+#: default certification tolerance on per-miner utility slack (x prize)
+CERT_TOL = 1e-9
 #: smallest normal float: a quotient below it has lost digits
 _TINY = float(np.finfo(float).tiny)
 ZERO_OPPOSITION = "zero opposition: no best response exists"
@@ -50,6 +57,40 @@ class BestResponseResult:
     optimal_investments: tuple[float, ...]
     optimal_utility: float
     interior_candidate: Optional[float] = None
+
+
+class MinerVerdict(NamedTuple):
+    """One miner's best-response check against the rest of a profile."""
+
+    miner: int
+    investment: float
+    utility: float
+    best_utility: float
+    slack: float
+    best_responses: tuple[float, ...]
+    marginal: bool
+    note: str = ""
+
+
+@dataclass(frozen=True)
+class EquilibriumCertificate:
+    certified: bool
+    tolerance: float
+    verdicts: tuple[MinerVerdict, ...]
+
+    @property
+    def worst_slack(self) -> float:
+        return min(v.slack for v in self.verdicts)
+
+    @property
+    def marginal_miners(self) -> tuple[int, ...]:
+        return tuple(v.miner for v in self.verdicts if v.marginal)
+
+
+def _permuted(cert: EquilibriumCertificate, source) -> EquilibriumCertificate:
+    """cert with miner i's verdict taken from miner source[i]'s."""
+    return replace(cert, verdicts=tuple(
+        cert.verdicts[j]._replace(miner=i) for i, j in enumerate(source)))
 
 
 def _beyond_range(cost: float, opposition_power: float,
@@ -151,6 +192,50 @@ def _best_responses(
     interior[live] = u
     candidates[live] = q
     return responses, best, interior, candidates
+
+
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """A ValueError unless 0 <= tol < inf (see eos.SCREEN_FLOOR on 0)."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, not {tol!r}")
+
+
+def verify_equilibrium(
+    spec: ContestSpec, profile: ProfileLike, tol: float = CERT_TOL
+) -> EquilibriumCertificate:
+    """Check every miner (participants and abstainers) against the exact
+    best-response oracle.
+
+    A profile is certified iff each miner's utility is within tol * prize
+    of its best attainable utility. Miners facing zero aggregate
+    opposition have no best response (the supremum is not attained), which
+    always blocks certification. A miner is flagged marginal when an
+    interior stationary response exists whose utility ties abstention
+    within 1e-9 of the prize: its participation is a knife-edge and the
+    equilibrium hinges on tie-breaking.
+
+    O(n): every opposition comes from one prefix/suffix-sum pass, and the
+    best responses and zero-opposition notes (an empty response set) from
+    one pass of _best_responses.
+    """
+    _check_tol(tol)
+    costs, v = unit_costs(spec), spec.prize
+    q = as_investments(spec, profile)
+    oppositions = _opposition_powers(q, spec.alpha)
+    u = unit_utilities(costs, q, shares(spec, q).shares)
+    responses, best, interior, _ = _best_responses(costs, spec.alpha,
+                                                   oppositions)
+    with np.errstate(over="ignore"):  # beyond the float range is -inf
+        utilities, slack = v * u, v * (u - best)
+    notes = [ZERO_OPPOSITION if not r else "" for r in responses]
+    verdicts = tuple(map(MinerVerdict._make, zip(
+        range(q.size), q.tolist(), utilities.tolist(), (v * best).tolist(),
+        slack.tolist(), responses, (np.abs(interior) <= 1e-9).tolist(),
+        notes)))
+    return EquilibriumCertificate(
+        certified=bool(np.all(slack >= -tol * v)), tolerance=tol,
+        verdicts=verdicts,
+    )
 
 
 def _log_target(c, alpha: float, log_a):

@@ -129,13 +129,13 @@ def load_profile(path: str, n: int) -> np.ndarray:
 def certification_tolerance() -> float:
     raw = os.environ.get("CONTEST_EQ_TOL")
     if raw is None:
-        return eos.CERT_TOL
+        return br.CERT_TOL
     try:
         tol = float(raw)
     except ValueError as exc:
         raise ScenarioError(f"CONTEST_EQ_TOL={raw!r} is not a number") from exc
-    if not tol > 0:
-        raise ScenarioError("CONTEST_EQ_TOL must be positive")
+    if not 0 < tol < math.inf:
+        raise ScenarioError("CONTEST_EQ_TOL must be positive and finite")
     return tol
 
 
@@ -163,7 +163,7 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _certificate_summary(cert: eos.EquilibriumCertificate,
+def _certificate_summary(cert: br.EquilibriumCertificate,
                          prize: float) -> dict:
     """The certificate's verdict, tolerance and worst slack, all in caller
     units."""
@@ -180,7 +180,7 @@ def _equilibria(spec: ContestSpec, tol: float):
         eq = proportional.solve_equilibrium(spec)
         fields = {"c_star": eq.c_star, "total_investment": eq.total_investment}
         return "proportional", [
-            (eq, eos.verify_equilibrium(spec, eq.investments, tol), fields)
+            (eq, br.verify_equilibrium(spec, eq.investments, tol), fields)
         ], {"method": eq.method, "iterations": eq.iterations,
             "residual": eq.residual}
     found = eos.enumerate_equilibria(spec, tol=tol)
@@ -228,7 +228,7 @@ def cmd_verify(args) -> int:
     spec, labels, echo = load_scenario(args.scenario)
     q = load_profile(args.profile, spec.n)
     tol = certification_tolerance()
-    cert = eos.verify_equilibrium(spec, q, tol)
+    cert = br.verify_equilibrium(spec, q, tol)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scenario": echo,
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
         "certificate": {
             **_certificate_summary(cert, spec.prize),
             # a MinerVerdict's fields, its label in place of its index
-            "miners": [dict(zip(("label", *eos.MinerVerdict._fields[1:]),
+            "miners": [dict(zip(("label", *br.MinerVerdict._fields[1:]),
                                 (labels[v.miner], *v[1:])))
                        for v in cert.verdicts],
         },
@@ -260,7 +260,10 @@ def _parse_grid(text: str) -> np.ndarray:
         raise ScenarioError(f"bad --grid {text!r}: {exc}") from exc
     if steps < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise ScenarioError(f"bad --grid {text!r}")
-    return np.linspace(lo, hi, steps)
+    try:  # numpy refuses a count beyond what it can allocate
+        return np.linspace(lo, hi, steps)
+    except (MemoryError, ValueError, IndexError) as exc:
+        raise ScenarioError(f"bad --grid {text!r}: {exc}") from None
 
 
 SWEEP_COLUMNS = ["param", "value", "status", "participant_count", "hhi",
@@ -345,7 +348,10 @@ def load_dynamics_config(path: str, spec: ContestSpec,
         raise ScenarioError(f"{path}: 'max_rounds' must be a whole number")
     tol, = _numbers([data.get("convergence_tol", 1e-10)],
                     f"{path}: 'convergence_tol' must be a number")
-    return DynamicsConfig(tuple(initial), int(max_rounds), tol)
+    try:
+        return DynamicsConfig(tuple(initial), int(max_rounds), tol)
+    except ValueError as exc:  # a field out of range, named in exc
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def cmd_dynamics(args) -> int:

@@ -42,10 +42,10 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import best_response as br
+from .best_response import (CERT_TOL, EquilibriumCertificate, _check_tol,
+                            verify_equilibrium)
 from .core import (ContestSpec, _aggregate_beyond_range, _powers,
                    as_investments, shares, unit_costs, unit_utilities)
-from .eos import (CERT_TOL, EquilibriumCertificate, _check_tol,
-                  verify_equilibrium)
 
 
 @dataclass(frozen=True)

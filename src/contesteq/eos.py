@@ -1,4 +1,4 @@
-"""Equilibrium search and certification for economies of scale (alpha > 1).
+"""Equilibrium search for economies of scale (alpha > 1).
 
 Any equilibrium participant must hold share >= 1 - 1/alpha, so at most
 floor(1 + 1/(alpha - 1)) miners can participate (none for alpha > 2). For
@@ -12,9 +12,9 @@ decreasing function of s and the share sum crosses 1 at most once. In
 share-gap coordinates, y = 1 - x and u = log s, every gap is increasing
 and convex in u, so a safeguarded Newton on u solves the gap sum, with an
 inner monotone Newton per member for the gaps and their slopes; this
-nails the unique candidate for S. A candidate is certified against the
-exact best-response oracle for every miner at once; only certified
-profiles are equilibria.
+nails the unique candidate for S. Each candidate is certified by
+best_response.verify_equilibrium, against the exact best response of every
+miner at once; only certified profiles are equilibria.
 
 Window theorem: a solved set S with unit-prize scale s is an equilibrium
 iff every member has c_i*s <= lambda = alpha*f(1 - 1/alpha) (S solves on
@@ -24,11 +24,10 @@ lambda = alpha**(1/alpha) * kappa. enumerate_equilibria walks the
 cost-sorted miners on it; the README's "Numerical contracts" has the
 proofs of the theorem and of the walk's cuts.
 
-Prize boundary: verify_equilibrium, solve_for_set and enumerate_equilibria
-take the unit-prize costs c_i / prize from core.unit_costs once, on entry,
-and work on them with prize-free kernels, so every tolerance is relative
-to the prize; reported utilities and slacks are multiplied by the prize on
-the way out.
+Prize boundary: solve_for_set and enumerate_equilibria take the
+unit-prize costs c_i / prize from core.unit_costs once, on entry, and work
+on them with prize-free kernels, so every tolerance is relative to the
+prize.
 """
 
 from __future__ import annotations
@@ -42,11 +41,10 @@ from typing import Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import best_response as br
-from .core import (ContestSpec, ProfileLike, _opposition_powers,
-                   as_investments, shares, unit_costs, unit_utilities)
+from .best_response import (CERT_TOL, EquilibriumCertificate, _check_tol,
+                            verify_equilibrium)
+from .core import ContestSpec, shares, unit_costs
 
-#: default certification tolerance on per-miner utility slack (x prize)
-CERT_TOL = 1e-9
 #: |share sum - 1| tolerance for the solve on the power scale
 SUM_TOL = 1e-13
 #: most miners enumerate_equilibria accepts
@@ -54,34 +52,6 @@ MAX_MINERS = 30
 #: floor of the outsider screen's margin on the certificate's absolute
 #: rounding (x prize), so that tol = 0 is still decided by the certificate
 SCREEN_FLOOR = 1e-12
-
-
-class MinerVerdict(NamedTuple):
-    """One miner's best-response check against the rest of a profile."""
-
-    miner: int
-    investment: float
-    utility: float
-    best_utility: float
-    slack: float
-    best_responses: tuple[float, ...]
-    marginal: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class EquilibriumCertificate:
-    certified: bool
-    tolerance: float
-    verdicts: tuple[MinerVerdict, ...]
-
-    @property
-    def worst_slack(self) -> float:
-        return min(v.slack for v in self.verdicts)
-
-    @property
-    def marginal_miners(self) -> tuple[int, ...]:
-        return tuple(v.miner for v in self.verdicts if v.marginal)
 
 
 @dataclass(frozen=True)
@@ -103,12 +73,6 @@ class PairwiseBound(NamedTuple):
     bound: float
     actual: float
     ok: bool
-
-
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """A ValueError unless tol is finite and >= 0 (see SCREEN_FLOOR on 0)."""
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, not {tol!r}")
 
 
 def participation_cap(alpha: float) -> int:
@@ -156,43 +120,6 @@ def invert_share_weight(target: float, alpha: float) -> float:
     log_target = [math.log(target)]
     z, _ = br._share_gaps(log_target, log_target, alpha, -math.log(alpha))
     return min(max(-math.expm1(z[0]), lo), 1.0 - 1e-16)
-
-
-def verify_equilibrium(
-    spec: ContestSpec, profile: ProfileLike, tol: float = CERT_TOL
-) -> EquilibriumCertificate:
-    """Check every miner (participants and abstainers) against the exact
-    best-response oracle.
-
-    A profile is certified iff each miner's utility is within tol * prize
-    of its best attainable utility. Miners facing zero aggregate
-    opposition have no best response (the supremum is not attained), which
-    always blocks certification. A miner is flagged marginal when an
-    interior stationary response exists whose utility ties abstention
-    within 1e-9 of the prize: its participation is a knife-edge and the
-    equilibrium hinges on tie-breaking.
-
-    O(n): every opposition comes from one prefix/suffix-sum pass, and the
-    best responses from one pass of best_response._best_responses.
-    """
-    _check_tol(tol)
-    costs, v = unit_costs(spec), spec.prize
-    q = as_investments(spec, profile)
-    oppositions = _opposition_powers(q, spec.alpha)
-    u = unit_utilities(costs, q, shares(spec, q).shares)
-    responses, best, interior, _ = br._best_responses(costs, spec.alpha,
-                                                      oppositions)
-    with np.errstate(over="ignore"):  # beyond the float range is -inf
-        utilities, slack = v * u, v * (u - best)
-    notes = np.where(oppositions == 0.0, br.ZERO_OPPOSITION, "").tolist()
-    verdicts = tuple(map(MinerVerdict._make, zip(
-        range(q.size), q.tolist(), utilities.tolist(), (v * best).tolist(),
-        slack.tolist(), responses, (np.abs(interior) <= 1e-9).tolist(),
-        notes)))
-    return EquilibriumCertificate(
-        certified=bool(np.all(slack >= -tol * v)), tolerance=tol,
-        verdicts=verdicts,
-    )
 
 
 def _validate_set(spec: ContestSpec, participant_set: Iterable[int]) -> tuple[int, ...]:
@@ -348,11 +275,10 @@ def _relabelled(spec: ContestSpec, rep: EosEquilibrium,
     def moved(values):
         return tuple(values[source[i]] for i in range(spec.n))
 
-    verdicts = tuple(v._replace(miner=i)
-                     for i, v in enumerate(moved(rep.certificate.verdicts)))
     return replace(rep, participants=subset, shares=moved(rep.shares),
                    investments=moved(rep.investments),
-                   certificate=replace(rep.certificate, verdicts=verdicts))
+                   certificate=br._permuted(rep.certificate,
+                                            moved(range(spec.n))))
 
 
 def enumerate_equilibria(spec: ContestSpec,

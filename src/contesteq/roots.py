@@ -1,4 +1,4 @@
-"""Monotone bisection used by every solver in the package."""
+"""Monotone bisection, for the alpha = 1 cross-check oracle."""
 
 from __future__ import annotations
 

@@ -24,14 +24,15 @@ from itertools import combinations
 import numpy as np
 
 from contesteq import best_response as br
+from contesteq.best_response import (CERT_TOL, EquilibriumCertificate,
+                                     MinerVerdict, verify_equilibrium)
 from contesteq.core import (_aggregate_beyond_range, _powers, _sums_after,
                             as_investments, shares, unit_costs,
                             unit_utilities)
 from contesteq.dynamics import Trajectory, _nearest
-from contesteq.eos import (CERT_TOL, MAX_MINERS, SUM_TOL, EosEquilibrium,
-                           EquilibriumCertificate, MinerVerdict, _relabelled,
+from contesteq.eos import (MAX_MINERS, SUM_TOL, EosEquilibrium, _relabelled,
                            _validate_set, participation_cap, share_weight,
-                           solve_for_set, verify_equilibrium)
+                           solve_for_set)
 from contesteq.roots import bisect_monotone
 
 

@@ -88,7 +88,7 @@ class TestScenarioParsing:
         assert cli.main(["solve", "--scenario", path]) == cli.EXIT_PARSE
         assert "JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "inf", "1e400"])
     def test_bad_tolerance_env(self, scenario_harmonic, monkeypatch, capsys,
                                value):
         monkeypatch.setenv("CONTEST_EQ_TOL", value)
@@ -376,6 +376,18 @@ class TestSweep:
              "--grid", grid, "--out", str(tmp_path / "x.csv")]
         ) == cli.EXIT_PARSE
 
+    # counts numpy refuses before touching memory: a 7.11 PiB allocation,
+    # an array "too big", a count its length arithmetic overflows on, and
+    # one beyond the largest size
+    @pytest.mark.parametrize("steps", [10**15, 2**60, 2**63 - 1, 10**30])
+    def test_grid_too_long_to_allocate_is_a_parse_error(
+            self, scenario_harmonic, tmp_path, capsys, steps):
+        assert cli.main(
+            ["sweep", "--scenario", scenario_harmonic, "--param", "alpha",
+             "--grid", f"1:2:{steps}", "--out", str(tmp_path / "x.csv")]
+        ) == cli.EXIT_PARSE
+        assert f"bad --grid '1:2:{steps}'" in capsys.readouterr().err
+
     @staticmethod
     def statuses(tmp_path, scenario, param, grid):
         """(value, status) of every row of a sweep that must exit 0."""
@@ -542,6 +554,16 @@ class TestDynamicsConfigFields:
                          str(tmp_path / "t.csv")]) == cli.EXIT_PARSE
         assert "'initial'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"max_rounds": 0', "max_rounds must be >= 1"),
+        ('"convergence_tol": 0', "convergence_tol must be positive"),
+        ('"convergence_tol": -1', "convergence_tol must be positive"),
+    ])
+    def test_field_out_of_range(self, scenario_harmonic, tmp_path, capsys,
+                                fields, message):
+        assert self.run(scenario_harmonic, tmp_path, fields) == cli.EXIT_PARSE
+        assert f"{tmp_path / 'cfg.json'}: {message}" in capsys.readouterr().err
+
     def test_integral_float_max_rounds_is_accepted(self, scenario_harmonic,
                                                    tmp_path):
         assert self.run(scenario_harmonic, tmp_path,
@@ -560,6 +582,23 @@ class TestBestResponse:
         assert code == cli.EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["oracle"]["agrees"]
+
+    def test_oracle_disagreement_exits_5(self, scenario_harmonic, tmp_path,
+                                         monkeypatch, capsys):
+        result = tmp_path / "r.json"
+        cli.main(["solve", "--scenario", scenario_harmonic,
+                  "--out", str(result)])
+        monkeypatch.setattr(cli.br, "grid_oracle",
+                            lambda *args: cli.br.BestResponseResult((0.0,),
+                                                                    -1.0))
+        out = tmp_path / "br.json"
+        assert cli.main(["best-response", "--scenario", scenario_harmonic,
+                         "--profile", str(result), "--miner", "m3",
+                         "--oracle", "--out", str(out)]
+                        ) == cli.EXIT_NOT_CERTIFIED
+        assert "grid oracle disagrees with the analytic best response" in (
+            capsys.readouterr().err)
+        assert json.loads(out.read_text())["oracle"]["agrees"] is False
 
     def test_miner_by_index(self, scenario_deterrence, tmp_path):
         profile = write_json(tmp_path / "p.json", [0.0, 0.5, 0.5, 0.0])

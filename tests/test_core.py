@@ -191,6 +191,13 @@ class TestMarginalShare:
         with pytest.raises(ValueError):
             marginal_share(spec, (0.0, 0.0), 0)
 
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_index_out_of_range(self, i):
+        spec = ContestSpec(costs=(1.0, 1.0))
+        with pytest.raises(IndexError, match=re.escape(
+                f"miner index {i} out of range for n=2")):
+            marginal_share(spec, (1.0, 1.0), i)
+
     @given(
         qi=investment,
         opposition=st.floats(0.1, 10.0),

@@ -82,6 +82,17 @@ class TestInvertShareWeight:
         assert 1 / 3 <= x < 1.0
         assert abs(share_weight(x, 1.5) - 0.2) <= 1e-13
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.5])
+    def test_alpha_at_most_one_rejected(self, alpha):
+        with pytest.raises(ValueError,
+                           match="^share weight is defined for alpha > 1$"):
+            invert_share_weight(0.1, alpha)
+
+    @pytest.mark.parametrize("target", [0.0, -0.1])
+    def test_non_positive_target_rejected(self, target):
+        with pytest.raises(ValueError, match="^target must be positive$"):
+            invert_share_weight(target, 2.0)
+
     def test_infeasible_target(self):
         f_max = share_weight(0.5, 2.0)
         with pytest.raises(ValueError):
@@ -139,6 +150,19 @@ class TestSolveForSet:
         spec = ContestSpec(costs=(1.0, 1.0))
         with pytest.raises(ValueError):
             solve_for_set(spec, (0, 1))
+
+    def test_duplicate_indices_rejected(self):
+        spec = ContestSpec(costs=(1.0, 1.0, 1.0), alpha=1.5)
+        with pytest.raises(ValueError,
+                           match="^participant set has duplicate indices$"):
+            solve_for_set(spec, (0, 0, 1))
+
+    @pytest.mark.parametrize("members", [(0, 3), (-1, 0)])
+    def test_out_of_range_indices_rejected(self, members):
+        spec = ContestSpec(costs=(1.0, 1.0, 1.0), alpha=1.5)
+        with pytest.raises(ValueError,
+                           match="^participant index out of range$"):
+            solve_for_set(spec, members)
 
     def test_singleton_rejected(self):
         spec = ContestSpec(costs=(1.0, 1.0), alpha=2.0)
@@ -487,6 +511,11 @@ class TestEnumerate:
         eqs = enumerate_equilibria(spec)
         counts = {len(eq.participants) for eq in eqs}
         assert max(counts) == 11 == participation_cap(1.1)
+
+    def test_participation_cap_needs_alpha_above_one(self):
+        with pytest.raises(ValueError,
+                           match="^the cap applies to alpha > 1$"):
+            participation_cap(1.0)
 
     def test_alpha_near_one_approaches_proportional(self):
         spec = ContestSpec(costs=(1.0, 1.0), alpha=1.001)

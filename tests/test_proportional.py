@@ -77,6 +77,16 @@ class TestSolveThreshold:
         with pytest.raises(ValueError):
             solve_threshold((1.0,))
 
+    def test_bisection_oracle_rejects_single_cost(self):
+        with pytest.raises(ValueError, match="^need at least 2 miners$"):
+            solve_threshold_bisection((1.0,))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_cost(self, bad):
+        with pytest.raises(ValueError,
+                           match="^all costs must be finite and > 0$"):
+            solve_threshold((1.0, bad))
+
     @settings(max_examples=300)
     @given(st.lists(st.integers(1, 20), min_size=2, max_size=30))
     def test_prefix_scan_matches_bisection_on_tied_costs(self, ticks):
@@ -201,6 +211,13 @@ class TestFocResidual:
         spec = ContestSpec(costs=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             foc_residual(spec, (1.0, 0.0, 0.0))
+
+    def test_scale_economies_rejected(self):
+        spec = ContestSpec(costs=(1.0, 1.0), alpha=1.5)
+        with pytest.raises(
+                ValueError,
+                match="^FOC residuals are for the proportional model$"):
+            foc_residual(spec, (0.25, 0.25))
 
 
 class TestEquilibriumProperties:
