@@ -95,6 +95,8 @@ def load_scenario(path: str) -> tuple[ContestSpec, list[str], dict]:
             raise ScenarioError(f"{path}: 'labels' must be an array of strings")
         if len(labels) != len(costs):
             raise ScenarioError(f"{path}: 'labels' must align with 'costs'")
+        if len(set(labels)) != len(labels):
+            raise ScenarioError(f"{path}: 'labels' must be distinct")
     else:
         labels = [f"m{i + 1}" for i in range(len(costs))]
     # ValueError -> invalid spec
@@ -336,7 +338,12 @@ def load_dynamics_config(path: str, spec: ContestSpec,
     initial = data.get("initial", "random")
     if initial == "random":
         rng = np.random.default_rng(0 if seed is None else seed)
-        scale = spec.prize / float(np.mean(spec.costs))
+        costs = np.asarray(spec.costs)
+        with np.errstate(over="ignore"):  # the sum of costs near the maximum
+            mean = float(np.mean(costs))
+        if mean == math.inf:  # costs / max(costs) sum without overflowing
+            mean = float(costs.max() * np.mean(costs / costs.max()))
+        scale = spec.prize / mean
         initial = (scale * 10.0 ** rng.uniform(-2.0, 0.0, spec.n)).tolist()
     message = (f"{path}: 'initial' must be \"random\" or an array of "
                f"{spec.n} numbers")

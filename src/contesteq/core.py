@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence, Union
 
 import numpy as np
@@ -66,7 +67,7 @@ class ConcentrationReport:
 
 
 def as_investments(spec: ContestSpec, profile: ProfileLike) -> np.ndarray:
-    """Validate a profile against a spec and return it as a float array."""
+    """Validate a profile against a spec: a float array, -0.0 read as 0.0."""
     q = np.asarray(profile, dtype=float)
     if q.ndim != 1 or q.shape[0] != spec.n:
         raise ValueError(
@@ -76,7 +77,7 @@ def as_investments(spec: ContestSpec, profile: ProfileLike) -> np.ndarray:
         raise ValueError("investments must be finite")
     if np.any(q < 0):
         raise ValueError("investments must be >= 0")
-    return q
+    return q + 0.0
 
 
 def shares(spec: ContestSpec, profile: ProfileLike) -> MarketShares:
@@ -160,11 +161,18 @@ def _aggregate_beyond_range(q, alpha: float) -> ValueError:
                       f"{float(np.max(q))!r}, alpha {alpha!r})")
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, refusing a bool or a non-integer (int() cuts 1.7)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an int, not {value!r}")
+    return int(value)
+
+
 def utility(spec: ContestSpec, profile: ProfileLike, i: int) -> float:
     """prize * (x_i - (c_i / prize) * q_i) for miner i: the unit-prize
     utility in caller units, as verify_equilibrium reports it. ValueError
     from unit_costs when c / prize leaves the float range."""
-    q = as_investments(spec, profile)
+    q, i = as_investments(spec, profile), _integer(i, "miner index")
     if not 0 <= i < spec.n:
         raise IndexError(f"miner index {i} out of range for n={spec.n}")
     x = shares(spec, q).shares[i]
@@ -179,7 +187,7 @@ def marginal_share(spec: ContestSpec, profile: ProfileLike, i: int) -> float:
     formula is degenerate at q_i = 0 and the call is an error rather than a
     silent 0 (equilibrium code must never evaluate it there).
     """
-    q = as_investments(spec, profile)
+    q, i = as_investments(spec, profile), _integer(i, "miner index")
     if not 0 <= i < spec.n:
         raise IndexError(f"miner index {i} out of range for n={spec.n}")
     qi = float(q[i])

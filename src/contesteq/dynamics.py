@@ -20,10 +20,11 @@ Idle miners (q = 0 at the round start) sit in segments facing one
 opposition. A segment whose cheapest miner passes best_response._abstains
 (margin 1e-9 over rounding) keeps its exact 0.0 without an update, and idle
 zeros add exactly. The segments and their cheapest costs are rebuilt only
-in a round whose active list differs from the previous round's, and the
-cycle check keys each profile on its active indices and investments. A
+in a round whose active list differs from the previous round's, so a
 round whose active list repeats is O(active + segments) Python work, bit
-for bit.
+for bit. A profile is read with -0.0 as 0.0 and every update writes 0.0
+or q > 0, so a round's active indices and investments are its profile:
+one record per round, kept by the trajectory and the cycle check alike.
 
 Prize boundary: run_dynamics takes the unit-prize costs from
 core.unit_costs once and updates with the prize-free kernels of
@@ -33,10 +34,8 @@ reports utilities in caller units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
 from typing import Iterator, Optional
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from . import best_response as br
 from .best_response import (CERT_TOL, EquilibriumCertificate, _check_tol,
                             verify_equilibrium)
-from .core import (ContestSpec, _aggregate_beyond_range, _powers,
+from .core import (ContestSpec, _aggregate_beyond_range, _integer, _powers,
                    as_investments, shares, unit_costs, unit_utilities)
 
 
@@ -60,10 +59,7 @@ class DynamicsConfig:
             self, "initial_profile",
             tuple(float(q) for q in self.initial_profile),
         )
-        if (isinstance(self.max_rounds, bool)
-                or not isinstance(self.max_rounds, Integral)):
-            raise TypeError("max_rounds must be an int")
-        if self.max_rounds < 1:
+        if _integer(self.max_rounds, "max_rounds") < 1:
             raise ValueError("max_rounds must be >= 1")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
@@ -71,28 +67,39 @@ class DynamicsConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Profiles after each round (index 0 is the initial profile), and the
-    terminal profile's certificate when the last round was quiet."""
+    """Each round's record, (active indices, their investments), index 0 the
+    initial profile's, and the terminal profile's certificate when the last
+    round was quiet. Profiles are built from the records on access."""
 
-    profiles: tuple[tuple[float, ...], ...]
+    rounds: tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]
     status: str  # converged | max_rounds_exhausted | cycle_detected
     spec: ContestSpec
     certificate: Optional[EquilibriumCertificate] = field(default=None)
 
+    def _profile(self, record) -> tuple[float, ...]:
+        q = [0.0] * self.spec.n
+        for i, qi in zip(*record):
+            q[i] = qi
+        return tuple(q)
+
+    @property
+    def profiles(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(map(self._profile, self.rounds))
+
     @property
     def rounds_used(self) -> int:
-        return len(self.profiles) - 1
+        return len(self.rounds) - 1
 
     @property
     def terminal(self) -> tuple[float, ...]:
-        return self.profiles[-1]
+        return self._profile(self.rounds[-1])
 
     def rows(self) -> Iterator[tuple[int, int, float, float, float]]:
         """(round, miner, investment, share, utility) rows for CSV export,
         utilities in caller units; round 1 is the state after the first
         full update sweep."""
         costs = unit_costs(self.spec)
-        for rnd, profile in enumerate(self.profiles[1:], start=1):
+        for rnd, profile in enumerate(map(self._profile, self.rounds[1:]), 1):
             x = shares(self.spec, profile).shares
             u = unit_utilities(costs, profile, x).tolist()
             for miner, q in enumerate(profile):  # float * V overflows to -inf
@@ -116,20 +123,6 @@ def run_dynamics(
     for bit. An update that loses its miner over 1e-12 of the prize raises
     ArithmeticError (exact best responses never do); a power or aggregate
     power beyond the float range raises a ValueError that names it.
-
-    A screened segment needs no write unless the start holds a -0.0. Its
-    miners are idle, so each holds 0.0 or -0.0, and every write in the loop
-    is 0.0 or positive: a one-miner form gives 0.0 or q > 0 (math.exp
-    gives no -0.0), or a nan q and u, which target 0.0; _nearest picks 0.0
-    or q, and the screen writes 0.0. A miner facing zero opposition
-    keeps its incumbent, so a -0.0 can only come from the start, and only
-    then does the screen fill 0.0 in, as the update would. The -0.0 is not
-    normalised up front: with no opposition the update keeps it.
-
-    The cycle key (active indices, their investments) is equal for two
-    profiles exactly when the profiles are: the nonzero entries sit at the
-    same indices, and the zeros, which compare equal whatever their sign,
-    are left out.
     """
     costs, alpha = unit_costs(spec).tolist(), spec.alpha
     tol, inf = config.convergence_tol, np.inf
@@ -137,32 +130,28 @@ def run_dynamics(
     form = (br._closed_form if alpha == 1.0
             else lambda cost, a: br._stationary(cost, a, alpha))
     q = as_investments(spec, config.initial_profile).tolist()
-    if not any(qi > 0 for qi in q):
+    active = tuple(i for i, qi in enumerate(q) if qi)  # q >= 0: these q > 0
+    if not active:
         raise ValueError("initial profile must have a positive investment")
-    fill = any(math.copysign(1.0, qi) < 0.0 for qi in q)  # a -0.0 start
-    active = [i for i, qi in enumerate(q) if qi]
-    invested = [q[i] for i in active]
-    snapshots = [tuple(q)]
-    seen = {(tuple(active), tuple(invested))}
-    segmented = None  # the active list the segments were built on
+    record = (active, tuple([q[i] for i in active]))
+    rounds, seen = [record], {record}
+    segmented = None  # the active indices the segments were built on
     status = "max_rounds_exhausted"
     for _ in range(config.max_rounds):  # max_rounds >= 1
         # after[k]: the active powers from active miner k on, np.cumsum-wise
-        power = (invested if alpha == 1.0 else
-                 _powers(np.asarray(invested), alpha).tolist())
+        power = (record[1] if alpha == 1.0 else
+                 _powers(np.asarray(record[1]), alpha).tolist())
         after = [*accumulate(reversed(power))][::-1] + [0.0]
         if active != segmented:
             segmented = active
-            starts, ends = [0] + [i + 1 for i in active], active + [len(q)]
+            starts, ends = [0] + [i + 1 for i in active], [*active, len(q)]
             cheapest = [min(costs[lo:hi]) if lo < hi else inf
                         for lo, hi in zip(starts, ends)]
-        before, moved, active = 0.0, False, []
+        before, moved, updated = 0.0, False, []
         for k, (lo, hi) in enumerate(zip(starts, ends)):
             opposition = before + after[k]  # the whole segment's
             if (lo < hi and 0.0 < opposition < inf  # else updates keep/raise
                     and br._abstains(cheapest[k], alpha, opposition)):
-                if fill:  # their 0.0 on a -0.0 too
-                    q[lo:hi] = [0.0] * (hi - lo)
                 lo = hi
             for i in range(lo, min(hi + 1, len(q))):
                 cost, qi, p = costs[i], q[i], power[k] if i == hi else 0.0
@@ -188,19 +177,22 @@ def run_dynamics(
                     q[i], p = target, response
                 before += p
                 if q[i]:  # active in the next round
-                    active.append(i)
-        snapshots.append(tuple(q))
+                    updated.append(i)
+        if tuple(updated) != active:  # else share the previous round's
+            active = tuple(updated)
+        # from a list, a tuple has its exact size: dead records refill the
+        # free lists that later rounds take from (a generator's starts at 10)
+        record = (active, tuple([q[i] for i in active]))
+        rounds.append(record)
         # a quiet round: no spend change c_i * |dq_i| above tol
         certificate = None if moved else verify_equilibrium(spec, q,
                                                             verify_tol)
         if certificate is not None and certificate.certified:
             status = "converged"
             break
-        invested = [q[i] for i in active]
-        key = (tuple(active), tuple(invested))
-        if key in seen:
+        if record in seen:
             status = "cycle_detected"
             break
-        seen.add(key)
-    return Trajectory(profiles=tuple(snapshots), status=status, spec=spec,
+        seen.add(record)
+    return Trajectory(rounds=tuple(rounds), status=status, spec=spec,
                       certificate=certificate)

@@ -43,7 +43,7 @@ import numpy as np
 from . import best_response as br
 from .best_response import (CERT_TOL, EquilibriumCertificate, _check_tol,
                             verify_equilibrium)
-from .core import ContestSpec, shares, unit_costs
+from .core import ContestSpec, _integer, shares, unit_costs
 
 #: |share sum - 1| tolerance for the solve on the power scale
 SUM_TOL = 1e-13
@@ -78,8 +78,9 @@ class PairwiseBound(NamedTuple):
 def participation_cap(alpha: float) -> int:
     """Most participants any equilibrium can have: floor(1 + 1/(alpha-1)),
     boundary-inclusive (integer values of 1 + 1/(alpha-1) are admitted)."""
-    if alpha <= 1:
-        raise ValueError("the cap applies to alpha > 1")
+    if not 1 < alpha < math.inf:
+        raise ValueError("the cap applies to alpha > 1" if alpha <= 1
+                         else f"alpha {alpha!r} is not finite")
     return int(math.floor(1.0 + 1.0 / (alpha - 1.0) + 1e-9))
 
 
@@ -89,8 +90,9 @@ def share_weight(x: float, alpha: float) -> float:
     Strictly decreasing for x > (alpha-1)/(2*alpha - 1), hence on the whole
     participation branch [1 - 1/alpha, 1).
     """
-    if alpha <= 1:
-        raise ValueError("share weight is defined for alpha > 1")
+    if not 1 < alpha < math.inf:
+        raise ValueError("share weight is defined for alpha > 1"
+                         if alpha <= 1 else f"alpha {alpha!r} is not finite")
     if not 0.0 < x < 1.0:
         raise ValueError("share must lie strictly inside (0, 1)")
     return x ** (1.0 - 1.0 / alpha) * (1.0 - x)
@@ -107,9 +109,10 @@ def invert_share_weight(target: float, alpha: float) -> float:
     The share is clamped to [1 - 1/alpha, 1 - 1e-16], so a target at or
     below f(1 - 1e-16) gives 1 - 1e-16, the largest float below 1.
     """
-    if alpha <= 1:
-        raise ValueError("share weight is defined for alpha > 1")
-    if target <= 0.0:
+    if not 1 < alpha < math.inf:
+        raise ValueError("share weight is defined for alpha > 1"
+                         if alpha <= 1 else f"alpha {alpha!r} is not finite")
+    if not target > 0.0:  # NaN too
         raise ValueError("target must be positive")
     lo = 1.0 - 1.0 / alpha
     f_max = share_weight(lo, alpha)
@@ -123,7 +126,8 @@ def invert_share_weight(target: float, alpha: float) -> float:
 
 
 def _validate_set(spec: ContestSpec, participant_set: Iterable[int]) -> tuple[int, ...]:
-    s = tuple(sorted(int(i) for i in participant_set))
+    s = tuple(sorted(_integer(i, "participant index")
+                     for i in participant_set))
     if len(set(s)) != len(s):
         raise ValueError("participant set has duplicate indices")
     if any(i < 0 or i >= spec.n for i in s):
@@ -381,6 +385,7 @@ def pairwise_bound_check(
     """Evaluate x_i >= 1 - (1/alpha) * c_i/c_j for every ordered pair of
     participants (i = j included, where the bound is 1 - 1/alpha). Returns
     one row per pair with its verdict for diagnosis."""
+    _check_tol(tol)
     rows = []
     for i in equilibrium.participants:
         for j in equilibrium.participants:

@@ -54,9 +54,11 @@ def threshold_function(costs, c: float) -> float:
     Continuous and non-decreasing in c, strictly increasing on [min cost,
     inf), so X(c) = 1 pins a unique threshold.
     """
-    if c <= 0:
+    if not c > 0:  # NaN too
         raise ValueError("threshold argument must be positive")
     cost = np.asarray(costs, dtype=float)
+    if np.isnan(cost).any():
+        raise ValueError("costs must not be NaN")
     with np.errstate(over="ignore"):  # c_i / c = inf counts 0, as it should
         return float(np.maximum(1.0 - cost / c, 0.0).sum())
 

@@ -307,7 +307,11 @@ def full_scan_dynamics(spec, config, verify_tol=CERT_TOL):
             status = "cycle_detected"
             break
         seen.add(snapshots[-1])
-    return Trajectory(profiles=tuple(snapshots), status=status, spec=spec,
+    records = []  # run_dynamics' records: active indices, their investments
+    for profile in snapshots:
+        active = tuple(i for i, qi in enumerate(profile) if qi)
+        records.append((active, tuple(profile[i] for i in active)))
+    return Trajectory(rounds=tuple(records), status=status, spec=spec,
                       certificate=certificate)
 
 

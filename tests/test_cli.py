@@ -83,6 +83,12 @@ class TestScenarioParsing:
                                 {"costs": [1, 2], "labels": ["a", 2]},
                                 "labels")
 
+    def test_duplicate_labels(self, tmp_path, capsys):
+        # solve listed participants ["a", "a"], and best-response --miner a
+        # took miner 0 without a word
+        scenario = {"costs": [1, 2, 3], "labels": ["a", "a", "b"]}
+        self.assert_parse_error(tmp_path, capsys, scenario, "labels")
+
     def test_scenario_that_is_an_array(self, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", [1, 2, 3])
         assert cli.main(["solve", "--scenario", path]) == cli.EXIT_PARSE
@@ -463,6 +469,18 @@ class TestDynamics:
                       "--config", str(config), "--out", str(out),
                       "--seed", "9"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_random_initial_for_costs_near_the_float_maximum(self, tmp_path):
+        # the mean of these costs once overflowed its sum: a warning, then
+        # an all-zero start and exit 3, on a game that solve answers
+        scenario = write_json(tmp_path / "s.json",
+                              {"costs": [1e306] * 199 + [2e306]})
+        config = write_json(tmp_path / "cfg.json",
+                            {"initial": "random", "max_rounds": 1})
+        out = tmp_path / "traj.csv"
+        assert cli.main(["dynamics", "--scenario", scenario, "--config",
+                         config, "--out", str(out)]) == cli.EXIT_OK
+        assert any(float(row[2]) > 0 for row in read_csv(out)[1:])
 
     def test_unknown_config_field(self, scenario_harmonic, tmp_path):
         config = write_json(tmp_path / "cfg.json", {"temperature": 1.0})

@@ -113,6 +113,19 @@ class TestUtility:
         with pytest.raises(IndexError):
             utility(spec, (1.0, 1.0), 2)
 
+    @pytest.mark.parametrize("function", [utility, marginal_share])
+    @pytest.mark.parametrize("i", [True, 1.0, np.True_])
+    def test_index_that_is_no_integer(self, function, i):
+        # True raised numpy's "only 0-dimensional arrays can be converted"
+        spec = ContestSpec(costs=(1.0, 1.0))
+        with pytest.raises(TypeError, match="^miner index must be an int, not "):
+            function(spec, (1.0, 1.0), i)
+
+    def test_numpy_integer_index(self):
+        spec = ContestSpec(costs=(1.0, 2.0))
+        assert utility(spec, (1.0, 1.0), np.int64(1)) == utility(
+            spec, (1.0, 1.0), 1)
+
     @given(
         q=st.lists(investment, min_size=2, max_size=6),
         prize=st.floats(0.1, 100.0),

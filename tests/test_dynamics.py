@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -367,21 +368,21 @@ class TestIdleSegments:
         assert (outcome(run_dynamics, spec, config)
                 == outcome(full_scan_dynamics, spec, config))
 
-    def test_minus_zero_is_kept_at_zero_opposition(self):
+    def test_minus_zero_start_runs_as_the_zero_start(self):
         # every power underflows at alpha 1.9, so each miner faces zero
-        # opposition and keeps its incumbent, the -0.0 included: a start
-        # normalised to 0.0 would not reproduce the run
+        # opposition and keeps its incumbent; the -0.0 is read as 0.0, so
+        # the run is the 0.0 start's, bit for bit
         spec = ContestSpec((9.553577604724057e290, 6.26734166035798e290,
                             3.7582546853222795e290, 1.466906653765967e291,
                             1e291, 1.2e291, 1.1e291), alpha=1.9)
-        start = (2.122417301554694e-290, 1.3892865002932656e-290,
-                 8.626750170344582e-293, 2.8787388822190614e-294,
-                 1.2023906846087299e-293, 0.0, -0.0)
-        config = DynamicsConfig(start, max_rounds=5)
+        zero = (2.122417301554694e-290, 1.3892865002932656e-290,
+                8.626750170344582e-293, 2.8787388822190614e-294,
+                1.2023906846087299e-293, 0.0, 0.0)
+        config = DynamicsConfig(zero[:-1] + (-0.0,), max_rounds=5)
         t = run_dynamics(spec, config)
         assert t.status == "cycle_detected"
-        assert repr(t.profiles) == repr((start, start))
-        assert math.copysign(1.0, t.terminal[-1]) == -1.0
+        assert repr(t.profiles) == repr((zero, zero))
+        assert repr(t) == repr(run_dynamics(spec, DynamicsConfig(zero, 5)))
         assert (outcome(run_dynamics, spec, config)
                 == outcome(full_scan_dynamics, spec, config))
 
@@ -431,6 +432,22 @@ class TestIdleSegments:
         cost = threshold_cost(alpha, a, offset)
         if 0.0 < cost < math.inf:
             assert br._abstains(cost, alpha, a)
+
+
+def test_memory_grows_with_the_active_miners_not_with_n():
+    # one record per round, of the active miners only: a dense n-tuple per
+    # round beside the cycle key once peaked at 32 MB here
+    n = 3000
+    spec = ContestSpec(tuple(np.random.default_rng(3).uniform(1.0, 3.0, n)))
+    config = DynamicsConfig((1.0 / n,) * n)
+    tracemalloc.start()
+    try:
+        t = run_dynamics(spec, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (t.status, t.rounds_used) == ("converged", 1089)
+    assert sum(q > 0.0 for q in t.terminal) == 55 and peak < 10e6
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])

@@ -164,6 +164,18 @@ class TestSolveForSet:
                            match="^participant index out of range$"):
             solve_for_set(spec, members)
 
+    @pytest.mark.parametrize("members", [(0, 1.7), (True, 0), (0, 1.0)])
+    def test_indices_that_are_no_integers_rejected(self, members):
+        # (0, 1.7) solved the set {0, 1}, and (True, 0) was read as {0, 1}
+        spec = ContestSpec(costs=(1.0, 1.0, 1.0), alpha=1.5)
+        with pytest.raises(TypeError,
+                           match="^participant index must be an int, not "):
+            solve_for_set(spec, members)
+
+    def test_numpy_integer_indices(self):
+        spec = ContestSpec(costs=(1.0, 1.0, 1.0), alpha=1.5)
+        assert solve_for_set(spec, np.array([2, 0])).participants == (0, 2)
+
     def test_singleton_rejected(self):
         spec = ContestSpec(costs=(1.0, 1.0), alpha=2.0)
         with pytest.raises(ValueError):
@@ -821,6 +833,29 @@ TOL_SPEC = ContestSpec((1.0, 1.2, 2.0), alpha=1.5)
 BAD_TOLS = [math.nan, -1.0, math.inf]
 
 
+class TestNonFiniteArguments:
+    """NaN or infinite arguments to the public helpers are rejected by
+    name; each once returned nan or failed with an unrelated message."""
+
+    def test_share_weight_at_a_nan_alpha(self):  # returned nan
+        with pytest.raises(ValueError, match="^alpha nan is not finite$"):
+            share_weight(0.5, math.nan)
+
+    def test_invert_share_weight_of_a_nan_target(self):  # returned nan
+        with pytest.raises(ValueError, match="^target must be positive$"):
+            invert_share_weight(math.nan, 1.5)
+
+    def test_invert_share_weight_at_an_infinite_alpha(self):
+        # raised "share must lie strictly inside (0, 1)"
+        with pytest.raises(ValueError, match="^alpha inf is not finite$"):
+            invert_share_weight(0.1, math.inf)
+
+    def test_participation_cap_at_a_nan_alpha(self):
+        # raised "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^alpha nan is not finite$"):
+            participation_cap(math.nan)
+
+
 class TestCertificationTolerance:
     """A negative or non-finite tol used to certify nothing or to drop every
     set without a word; it is rejected by name, and tol = 0 stays valid."""
@@ -840,6 +875,13 @@ class TestCertificationTolerance:
         q = solve_for_set(TOL_SPEC, (0, 1)).investments
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             verify_equilibrium(TOL_SPEC, q, tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_pairwise_bound_check_rejects_it(self, tol):
+        # nan marked every row failed, inf every row ok
+        eq = solve_for_set(TOL_SPEC, (0, 1))
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            pairwise_bound_check(TOL_SPEC, eq, tol=tol)
 
     def test_zero_is_valid(self):
         eqs = enumerate_equilibria(TOL_SPEC, tol=0.0)

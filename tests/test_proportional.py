@@ -41,6 +41,17 @@ class TestThresholdFunction:
         with pytest.raises(ValueError):
             threshold_function((1.0, 2.0), 0.0)
 
+    def test_rejects_a_nan_argument(self):
+        # returned nan
+        with pytest.raises(ValueError,
+                           match="^threshold argument must be positive$"):
+            threshold_function((1.0, 2.0), math.nan)
+
+    def test_rejects_a_nan_cost(self):
+        # returned nan
+        with pytest.raises(ValueError, match="^costs must not be NaN$"):
+            threshold_function((1.0, math.nan), 2.0)
+
     @given(c=st.floats(0.01, 50.0), scale=st.floats(1.001, 3.0))
     def test_nondecreasing(self, c, scale):
         costs = (0.5, 0.7, 1.1, 2.0)
